@@ -3,7 +3,8 @@
 //! baseline reimplemented in `acpp_bench::parallel`.
 
 use acpp_bench::parallel::baseline_publish;
-use acpp_core::{publish_threaded, PgConfig, Threads};
+use acpp_core::{publish_robust_observed, DegradationPolicy, PgConfig, Threads};
+use acpp_obs::Telemetry;
 use acpp_data::sal::{self, SalConfig};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use rand::rngs::StdRng;
@@ -32,8 +33,17 @@ fn bench_parallel_publish(c: &mut Criterion) {
         group.bench_function(BenchmarkId::new(format!("engine_t{threads}"), rows), |b| {
             b.iter(|| {
                 let mut rng = StdRng::seed_from_u64(2);
-                publish_threaded(&table, &taxonomies, cfg, Threads::Fixed(threads), &mut rng)
-                    .unwrap()
+                publish_robust_observed(
+                    &table,
+                    &taxonomies,
+                    cfg,
+                    DegradationPolicy::Abort,
+                    None,
+                    Threads::Fixed(threads),
+                    &mut rng,
+                    &Telemetry::disabled(),
+                )
+                .unwrap()
             });
         });
     }

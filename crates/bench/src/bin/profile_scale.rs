@@ -20,7 +20,7 @@ use std::cell::Cell;
 use std::path::PathBuf;
 
 use acpp_bench::{Args, BenchReport};
-use acpp_core::{publish_observed, PgConfig, Threads};
+use acpp_core::{publish_robust_observed, DegradationPolicy, PgConfig, Threads};
 use acpp_data::sal::{self, SalConfig};
 use acpp_obs::{build_report, profiler, render_run_meta, run_meta, Telemetry};
 use rand::rngs::StdRng;
@@ -89,10 +89,11 @@ fn main() {
     prof.begin();
     let mut rng = StdRng::seed_from_u64(seed);
     let published = bench.phase("publish", rows, || {
-        publish_observed(&table, &taxes, cfg, Threads::Fixed(threads), &mut rng, &telemetry)
+        let (abort, workers) = (DegradationPolicy::Abort, Threads::Fixed(threads));
+        publish_robust_observed(&table, &taxes, cfg, abort, None, workers, &mut rng, &telemetry)
     });
     let samples = prof.take();
-    let published = published.expect("publication succeeds");
+    let (published, _) = published.expect("publication succeeds");
     eprintln!("published {} tuples", published.len());
 
     let records = telemetry.records();

@@ -32,7 +32,7 @@ use std::process::ExitCode;
 use std::time::Instant;
 
 use acpp_bench::{Args, BenchReport};
-use acpp_core::{publish_observed, publish_threaded, PgConfig, Threads};
+use acpp_core::{publish_robust_observed, DegradationPolicy, PgConfig, Threads};
 use acpp_data::sal::{self, SalConfig};
 use acpp_obs::{build_report, profiler, Telemetry};
 use rand::rngs::StdRng;
@@ -98,9 +98,17 @@ fn main() -> ExitCode {
         let telemetry = Telemetry::enabled();
         prof.begin();
         let mut rng = StdRng::seed_from_u64(seed);
-        let published =
-            publish_observed(&table, &taxes, cfg, Threads::Fixed(threads), &mut rng, &telemetry)
-                .expect("publication succeeds");
+        let (published, _) = publish_robust_observed(
+            &table,
+            &taxes,
+            cfg,
+            DegradationPolicy::Abort,
+            None,
+            Threads::Fixed(threads),
+            &mut rng,
+            &telemetry,
+        )
+        .expect("publication succeeds");
         let samples = prof.take();
         assert!(!published.is_empty(), "gate run published nothing");
         let report = build_report(&telemetry.records(), &samples, threads)
@@ -141,8 +149,17 @@ fn main() -> ExitCode {
         for _ in 0..reps.max(1) {
             let mut rng = StdRng::seed_from_u64(seed);
             let started = Instant::now();
-            let out = publish_threaded(&table, &taxes, cfg, Threads::Fixed(t), &mut rng)
-                .expect("publication succeeds");
+            let (out, _) = publish_robust_observed(
+                &table,
+                &taxes,
+                cfg,
+                DegradationPolicy::Abort,
+                None,
+                Threads::Fixed(t),
+                &mut rng,
+                &Telemetry::disabled(),
+            )
+            .expect("publication succeeds");
             best = best.min(started.elapsed().as_secs_f64());
             assert!(!out.is_empty());
         }

@@ -6,7 +6,7 @@
 use acpp_bench::hospital;
 use acpp_bench::report::render_table;
 use acpp_bench::{Args, BenchReport};
-use acpp_core::{publish_with_trace, Phase2Algorithm, PgConfig};
+use acpp_core::{publish_with_trace, Phase2Algorithm, PgConfig, Threads};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -30,7 +30,8 @@ fn main() {
 
     let mut rng = StdRng::seed_from_u64(seed);
     let (dstar, trace) = bench.phase("publish", table.len(), || {
-        publish_with_trace(&table, &taxonomies, cfg, &mut rng).expect("publication succeeds")
+        publish_with_trace(&table, &taxonomies, cfg, Threads::Auto, &mut rng)
+            .expect("publication succeeds")
     });
 
     // --- Table IIa: D^p. ---

@@ -1,6 +1,6 @@
 //! Scaling experiment for the deterministic parallel engine.
 //!
-//! Measures [`acpp_core::publish_threaded`] across a worker-count sweep
+//! Measures [`acpp_core::publish_robust_observed`] across a worker-count sweep
 //! against a **faithful reimplementation of the pre-parallel sequential
 //! pipeline** (`baseline_kind = pre_pr_sequential`): clone-per-recursion
 //! Mondrian, whole-table Phase-1 perturbation through per-row `Value`
@@ -15,7 +15,10 @@
 //! match is the work: both run the full three-phase PG pipeline under the
 //! same configuration and release the same number of tuples.
 
-use acpp_core::{publish_threaded, CoreError, PgConfig, Threads};
+use acpp_core::{
+    publish_robust_observed, AcppError, CoreError, DegradationPolicy, PgConfig, Threads,
+};
+use acpp_obs::Telemetry;
 use acpp_core::published::{PublishedTable, PublishedTuple};
 use acpp_data::{Table, Taxonomy, Value};
 use acpp_generalize::principles::is_k_anonymous;
@@ -252,7 +255,7 @@ pub fn baseline_publish<R: Rng + ?Sized>(
 pub struct ScalingPoint {
     /// Worker-pool size the engine ran with.
     pub threads: usize,
-    /// Wall-clock of one full `publish_threaded` run.
+    /// Wall-clock of one full engine run.
     pub seconds: f64,
     /// Input rows divided by `seconds` — the absolute throughput anchor
     /// that makes points comparable across row tiers and machines.
@@ -321,7 +324,7 @@ pub fn run_scaling(
     config: PgConfig,
     seed: u64,
     thread_counts: &[usize],
-) -> Result<ScalingRun, CoreError> {
+) -> Result<ScalingRun, AcppError> {
     run_scaling_with_reps(table, taxonomies, config, seed, thread_counts, TIMING_REPS)
 }
 
@@ -334,7 +337,7 @@ pub fn run_scaling_with_reps(
     seed: u64,
     thread_counts: &[usize],
     reps: usize,
-) -> Result<ScalingRun, CoreError> {
+) -> Result<ScalingRun, AcppError> {
     let reps = reps.max(1);
     let mut baseline_seconds = f64::INFINITY;
     let mut baseline_tuples = 0usize;
@@ -350,12 +353,15 @@ pub fn run_scaling_with_reps(
         let mut seconds = f64::INFINITY;
         for _ in 0..reps {
             let started = Instant::now();
-            let dstar = publish_threaded(
+            let (dstar, _) = publish_robust_observed(
                 table,
                 taxonomies,
                 config,
+                DegradationPolicy::Abort,
+                None,
                 Threads::Fixed(threads),
                 &mut StdRng::seed_from_u64(seed),
+                &Telemetry::disabled(),
             )?;
             seconds = seconds.min(started.elapsed().as_secs_f64());
             if dstar.len() != baseline_tuples {
@@ -364,7 +370,8 @@ pub fn run_scaling_with_reps(
                     dstar.len(),
                     threads,
                     baseline_tuples
-                )));
+                ))
+                .into());
             }
         }
         points.push(ScalingPoint {

@@ -7,13 +7,11 @@ use crate::ui::Ui;
 use acpp_attack::breach::{simulate, BreachSimConfig};
 use acpp_attack::ExternalDatabase;
 use acpp_core::guarantees::{max_retention_for_delta, max_retention_for_rho2};
-use acpp_core::journal::{
-    publish_journaled_observed, publish_journaled_with_crash, resume_observed, CrashPoint,
-};
+use acpp_core::journal::{publish_journaled, resume, CrashPoint, RunOptions};
 use acpp_conformance::{run_audit, AuditConfig};
 use acpp_core::{
-    publish, publish_observed, publish_robust_observed, record_guarantee_surface, AcppError,
-    DegradationPolicy, GuaranteeParams, Phase2Algorithm, PgConfig, Threads,
+    publish, publish_robust_observed, record_guarantee_surface, AcppError, DegradationPolicy,
+    GuaranteeParams, Phase2Algorithm, PgConfig, Threads,
 };
 use acpp_obs::{render_prometheus, render_summary, render_trace, Telemetry};
 use acpp_data::digest::render_digest;
@@ -61,15 +59,7 @@ fn load_table(flags: &Flags, schema: &Schema) -> Result<Table, CliError> {
 }
 
 fn algorithm(flags: &Flags) -> Result<Phase2Algorithm, CliError> {
-    match flags.get_str("algorithm").unwrap_or("mondrian") {
-        "mondrian" => Ok(Phase2Algorithm::Mondrian),
-        "tds" => Ok(Phase2Algorithm::Tds),
-        "full-domain" => Ok(Phase2Algorithm::FullDomain),
-        other => Err(format!(
-            "unknown algorithm `{other}` (expected mondrian, tds, or full-domain)"
-        )
-        .into()),
-    }
+    Ok(flags.get_str("algorithm").unwrap_or("mondrian").parse::<Phase2Algorithm>()?)
 }
 
 fn pg_config(flags: &Flags) -> Result<PgConfig, CliError> {
@@ -159,7 +149,8 @@ pub fn publish_cmd(flags: &Flags) -> CliResult {
     let cfg = pg_config(flags)?;
     let seed: u64 = flags.get("seed", 2008)?;
     let out: String = flags.require("out")?;
-    let policy = parse_policy(flags.get_str("on-error").unwrap_or("abort"))?;
+    let policy = flags.get_str("on-error").unwrap_or("abort").parse::<DegradationPolicy>();
+    let policy = policy.map_err(|e| format!("--on-error: {e}"))?;
     let threads = parse_threads(flags)?;
     let (dstar, report) = match flags.get_str("journal") {
         Some(dir) => {
@@ -174,32 +165,22 @@ pub fn publish_cmd(flags: &Flags) -> CliResult {
                 format!("cannot create journal directory `{}`: {e}", dir.display())
             })?;
             write_job(&dir, flags, cfg, policy, seed, &out)?;
-            // The crash-injection path bypasses telemetry: a simulated
-            // crash aborts the process before any exporter could run.
-            let run = match crash {
-                Some(crash) => publish_journaled_with_crash(
-                    &table,
-                    &taxonomies,
-                    cfg,
-                    policy,
-                    seed,
-                    &dir,
-                    Path::new(&out),
-                    threads,
-                    Some(crash),
-                )?,
-                None => publish_journaled_observed(
-                    &table,
-                    &taxonomies,
-                    cfg,
-                    policy,
-                    seed,
-                    &dir,
-                    Path::new(&out),
-                    threads,
-                    &obs.telemetry,
-                )?,
+            let opts = RunOptions {
+                threads,
+                telemetry: Some(&obs.telemetry),
+                crash,
+                ..RunOptions::default()
             };
+            let run = publish_journaled(
+                &table,
+                &taxonomies,
+                cfg,
+                policy,
+                seed,
+                &dir,
+                Path::new(&out),
+                &opts,
+            )?;
             (run.published, run.report)
         }
         None => {
@@ -320,24 +301,6 @@ fn parse_threads(flags: &Flags) -> Result<Threads, CliError> {
     }
 }
 
-fn parse_policy(name: &str) -> Result<DegradationPolicy, CliError> {
-    match name {
-        "abort" => Ok(DegradationPolicy::Abort),
-        "skip" => Ok(DegradationPolicy::SkipAndReport),
-        other => {
-            Err(format!("unknown --on-error policy `{other}` (expected abort or skip)").into())
-        }
-    }
-}
-
-fn alg_cli_name(alg: Phase2Algorithm) -> &'static str {
-    match alg {
-        Phase2Algorithm::Mondrian => "mondrian",
-        Phase2Algorithm::Tds => "tds",
-        Phase2Algorithm::FullDomain => "full-domain",
-    }
-}
-
 /// Records the publish invocation in the journal directory (atomically),
 /// so `acpp resume` can rebuild the identical run. `p` is stored as its
 /// exact bit pattern: the journal fingerprint is bit-precise.
@@ -357,11 +320,8 @@ fn write_job(
     }
     body.push_str(&format!("p_bits={:016x}\n", cfg.p.to_bits()));
     body.push_str(&format!("k={}\n", cfg.k));
-    body.push_str(&format!("algorithm={}\n", alg_cli_name(cfg.algorithm)));
-    body.push_str(&format!(
-        "policy={}\n",
-        if policy == DegradationPolicy::Abort { "abort" } else { "skip" }
-    ));
+    body.push_str(&format!("algorithm={}\n", cfg.algorithm.wire_name()));
+    body.push_str(&format!("policy={}\n", policy.wire_name()));
     body.push_str(&format!("seed={seed}\n"));
     body.push_str(&format!("out={out}\n"));
     write_atomic(&dir.join(JOB_FILE), body.as_bytes(), &RetryPolicy::default())?;
@@ -410,15 +370,8 @@ fn read_job(dir: &Path) -> Result<Job, CliError> {
             "schema" => schema = Some(value.to_string()),
             "p_bits" => p_bits = u64::from_str_radix(value, 16).ok(),
             "k" => k = value.parse::<usize>().ok(),
-            "algorithm" => {
-                alg = Some(match value {
-                    "mondrian" => Phase2Algorithm::Mondrian,
-                    "tds" => Phase2Algorithm::Tds,
-                    "full-domain" => Phase2Algorithm::FullDomain,
-                    _ => return Err(malformed()),
-                })
-            }
-            "policy" => policy = parse_policy(value).ok(),
+            "algorithm" => alg = Some(value.parse().map_err(|_| malformed())?),
+            "policy" => policy = value.parse().ok(),
             "seed" => seed = value.parse::<u64>().ok(),
             "out" => out = Some(value.to_string()),
             _ => return Err(malformed()),
@@ -458,7 +411,12 @@ pub fn resume_cmd(flags: &Flags) -> CliResult {
     let text = fs::read_to_string(&job.input)
         .map_err(|e| format!("cannot read input `{}`: {e}", job.input))?;
     let table = csv::from_str(&schema, &text)?;
-    let run = resume_observed(
+    let opts = RunOptions {
+        threads: parse_threads(flags)?,
+        telemetry: Some(&obs.telemetry),
+        ..RunOptions::default()
+    };
+    let run = resume(
         &table,
         &taxonomies,
         job.cfg,
@@ -466,8 +424,7 @@ pub fn resume_cmd(flags: &Flags) -> CliResult {
         job.seed,
         &dir,
         Path::new(&job.out),
-        parse_threads(flags)?,
-        &obs.telemetry,
+        &opts,
     )?;
     if !run.report.is_clean() {
         ui.progress_block(&run.report);
@@ -731,7 +688,16 @@ pub fn profile(flags: &Flags) -> CliResult {
     let prof = acpp_obs::profiler();
     prof.begin();
     let mut rng = StdRng::seed_from_u64(seed);
-    let run = publish_observed(&table, &taxonomies, cfg, Threads::Fixed(threads), &mut rng, &telemetry);
+    let run = publish_robust_observed(
+        &table,
+        &taxonomies,
+        cfg,
+        DegradationPolicy::Abort,
+        None,
+        Threads::Fixed(threads),
+        &mut rng,
+        &telemetry,
+    );
     let samples = prof.take();
     run?;
 

@@ -164,6 +164,47 @@ fn journaled_crash_then_resume_round_trip() {
     assert_eq!(out.status.code(), Some(10));
 }
 
+/// The `begin` record and the job file the build before the enum parsers
+/// were unified wrote for the journaled run below.
+const PREVIOUS_BEGIN: &str = "begin v1 seed=7 p=3fd3333333333333 k=4 alg=full-domain \
+    policy=skip input=782dd8bb9b98fd51 taxes=6d47fc4778a733ad rows=200|60ff291aa9d4a3ef\n";
+const PREVIOUS_JOB: &str = "acpp-job v1\ninput=data.csv\nschema=data.csv.schema\n\
+    p_bits=3fd3333333333333\nk=4\nalgorithm=full-domain\npolicy=skip\nseed=7\nout=dstar.csv\n";
+
+#[test]
+fn journal_and_job_file_keep_the_previous_spellings() {
+    let dir = tmp("spellings");
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let run = |args: &[&str]| {
+        let out = acpp().args(args).current_dir(&dir).output().unwrap();
+        assert!(out.status.success(), "{args:?}: {}", String::from_utf8_lossy(&out.stderr));
+    };
+    run(&["generate", "--rows", "200", "--out", "data.csv"]);
+    let publish = ["publish", "--input", "data.csv", "--schema", "data.csv.schema", "--p", "0.3"];
+    let params = ["--k", "4", "--seed", "7", "--out", "dstar.csv"];
+    // Both spellings of each enum write the same bytes the previous build did.
+    for (alg, policy, journal) in
+        [("full-domain", "skip", "j1"), ("full_domain", "skip_and_report", "j2")]
+    {
+        let flags = ["--algorithm", alg, "--on-error", policy, "--journal", journal];
+        run(&[&publish[..], &params[..], &flags[..]].concat());
+        let log = std::fs::read_to_string(dir.join(journal).join("journal.log")).unwrap();
+        assert!(log.starts_with(PREVIOUS_BEGIN), "{journal}: {log}");
+        let job = std::fs::read_to_string(dir.join(journal).join("job")).unwrap();
+        assert_eq!(job, PREVIOUS_JOB, "{journal}");
+    }
+    let expected = std::fs::read(dir.join("dstar.csv")).unwrap();
+    // A run the previous build interrupted right after `begin` resumes.
+    let previous = dir.join("previous");
+    std::fs::create_dir_all(&previous).unwrap();
+    std::fs::write(previous.join("journal.log"), PREVIOUS_BEGIN).unwrap();
+    std::fs::write(previous.join("job"), PREVIOUS_JOB).unwrap();
+    std::fs::remove_file(dir.join("dstar.csv")).unwrap();
+    run(&["resume", "previous"]);
+    assert_eq!(std::fs::read(dir.join("dstar.csv")).unwrap(), expected);
+}
+
 #[test]
 fn journaled_publish_emits_telemetry_artifacts() {
     let data = tmp("telemetry_smoke.csv");

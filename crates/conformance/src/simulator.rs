@@ -29,7 +29,7 @@ use crate::ci::{wilson, Interval, AUDIT_Z};
 use crate::report::{Check, ConformanceReport, Status};
 use crate::synth::{self, analyze_world, harness, peaked_pdf};
 use acpp_attack::PosteriorAnalysis;
-use acpp_core::{par, publish_with_trace, AcppError, GuaranteeParams, PgConfig};
+use acpp_core::{par, publish_with_trace, AcppError, GuaranteeParams, PgConfig, Threads};
 use acpp_data::digest::substream_seed;
 use acpp_data::{OwnerId, Table, Value};
 use acpp_obs::Telemetry;
@@ -272,8 +272,9 @@ fn run_trial(
     }
 
     let taxes = synth::taxonomies();
-    let (_, trace) =
-        publish_with_trace(&table, &taxes, cfg, &mut rng).map_err(AcppError::from)?;
+    // One worker per trial: the trials themselves are sharded over the
+    // audit's pool.
+    let (_, trace) = publish_with_trace(&table, &taxes, cfg, Threads::Fixed(1), &mut rng)?;
 
     // The QI layout is constant, so the grouping must be the designed one:
     // the victim's group is exactly rows 0..G.

@@ -27,6 +27,32 @@ impl Phase2Algorithm {
             Phase2Algorithm::FullDomain => "full_domain",
         }
     }
+
+    /// The spelling the journal, the CLI and its job file write.
+    pub fn wire_name(self) -> &'static str {
+        match self {
+            Phase2Algorithm::Mondrian => "mondrian",
+            Phase2Algorithm::Tds => "tds",
+            Phase2Algorithm::FullDomain => "full-domain",
+        }
+    }
+}
+
+/// Accepts the wire spelling ([`Phase2Algorithm::wire_name`]) and the
+/// telemetry label ([`Phase2Algorithm::label`]).
+impl std::str::FromStr for Phase2Algorithm {
+    type Err = String;
+
+    fn from_str(s: &str) -> Result<Self, String> {
+        match s {
+            "mondrian" => Ok(Phase2Algorithm::Mondrian),
+            "tds" => Ok(Phase2Algorithm::Tds),
+            "full-domain" | "full_domain" => Ok(Phase2Algorithm::FullDomain),
+            other => Err(format!(
+                "unknown algorithm `{other}` (expected mondrian, tds, or full-domain)"
+            )),
+        }
+    }
 }
 
 /// Parameters of a PG publication run.

@@ -10,34 +10,23 @@
 //! * [`DegradationPolicy`] — what the pipeline does when a defense trips:
 //!   fail atomically ([`DegradationPolicy::Abort`]) or degrade gracefully
 //!   and account for it ([`DegradationPolicy::SkipAndReport`]);
-//! * [`publish_robust`] — the hardened pipeline entry. It runs the same
-//!   Phases 1–3 as [`crate::pipeline::publish`] behind per-phase defenses,
-//!   and returns the release together with an auditable
-//!   [`PipelineReport`].
+//! * [`PipelineReport`] — the per-phase account of what the defenses saw
+//!   and did, returned with every release.
 //!
-//! Every fault, injected or organic, ends in exactly one of two ways: a
-//! typed [`AcppError`] with nothing published, or a successful release whose
-//! report records what was dropped. There is no third outcome.
+//! The defenses themselves run inside the one pipeline body,
+//! [`crate::pipeline`]; this module holds the plan, the reports and the
+//! injection helpers the body calls at each boundary. Every fault, injected
+//! or organic, ends in exactly one of two ways: a typed [`AcppError`] with
+//! nothing published, or a successful release whose report records what was
+//! dropped. There is no third outcome.
 
-use crate::config::PgConfig;
-use crate::error::AcppError;
-use crate::par::{self, Threads};
-use crate::published::{PublishedTable, PublishedTuple};
-use crate::validate::validate_inputs;
-use acpp_data::{substream_seed, Table, Taxonomy, Value};
-use acpp_generalize::scheme::check_taxonomies;
+use acpp_data::{Table, Taxonomy, Value};
 use acpp_generalize::{GroupId, Grouping, Signature};
-use acpp_obs::{metrics, FieldValue, Telemetry};
-use acpp_perturb::Channel;
-use acpp_sample::{keyed_pick, SAMPLE_DOMAIN};
+use acpp_obs::metrics;
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::SeedableRng;
+use std::borrow::Cow;
 use std::fmt;
-
-/// Substream domain label for row-keyed redraws of out-of-domain perturbed
-/// values under [`DegradationPolicy::SkipAndReport`]. Keyed by *row*, not by
-/// arrival order, so the redraw is identical at every thread count.
-const PERTURB_REDRAW_DOMAIN: &str = "perturb_redraw";
 
 /// A phase boundary of the PG pipeline.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -56,7 +45,7 @@ impl Phase {
     /// All phases, in pipeline order.
     pub const ALL: [Phase; 4] = [Phase::Ingest, Phase::Perturb, Phase::Generalize, Phase::Sample];
 
-    fn tag(self) -> u64 {
+    pub(crate) fn tag(self) -> u64 {
         match self {
             Phase::Ingest => 0x1A,
             Phase::Perturb => 0x2B,
@@ -77,7 +66,7 @@ impl Phase {
     }
 
     /// The span name instrumenting this phase.
-    fn span_name(self) -> &'static str {
+    pub(crate) fn span_name(self) -> &'static str {
         match self {
             Phase::Ingest => "phase.ingest",
             Phase::Perturb => "phase.perturb",
@@ -87,6 +76,8 @@ impl Phase {
     }
 }
 
+/// The journal's spelling: `ingest`, `perturbation`, `generalization`,
+/// `sampling`.
 impl fmt::Display for Phase {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.write_str(match self {
@@ -217,6 +208,28 @@ impl DegradationPolicy {
             DegradationPolicy::SkipAndReport => "skip_and_report",
         }
     }
+
+    /// The spelling the journal, the CLI and its job file write.
+    pub fn wire_name(self) -> &'static str {
+        match self {
+            DegradationPolicy::Abort => "abort",
+            DegradationPolicy::SkipAndReport => "skip",
+        }
+    }
+}
+
+/// Accepts the wire spelling ([`DegradationPolicy::wire_name`]) and the
+/// telemetry label ([`DegradationPolicy::label`]).
+impl std::str::FromStr for DegradationPolicy {
+    type Err = String;
+
+    fn from_str(s: &str) -> Result<Self, String> {
+        match s {
+            "abort" => Ok(DegradationPolicy::Abort),
+            "skip" | "skip_and_report" => Ok(DegradationPolicy::SkipAndReport),
+            other => Err(format!("unknown policy `{other}` (expected abort or skip)")),
+        }
+    }
 }
 
 impl fmt::Display for DegradationPolicy {
@@ -328,7 +341,15 @@ pub struct PhaseReport {
     pub notes: Vec<String>,
 }
 
-/// The auditable outcome of a [`publish_robust`] run.
+impl PhaseReport {
+    /// Accounts for `units` faulty units a defense degraded, with a note.
+    pub(crate) fn survived(&mut self, units: usize, note: String) {
+        self.faults_survived += units;
+        self.notes.push(note);
+    }
+}
+
+/// The auditable outcome of a pipeline run.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PipelineReport {
     /// The degradation policy the run used.
@@ -342,30 +363,18 @@ pub struct PipelineReport {
 }
 
 impl PipelineReport {
-    fn new(policy: DegradationPolicy, input_rows: usize) -> Self {
-        PipelineReport {
-            policy,
-            input_rows,
-            published_rows: 0,
-            phases: [
-                PhaseReport::default(),
-                PhaseReport::default(),
-                PhaseReport::default(),
-                PhaseReport::default(),
-            ],
-        }
+    pub(crate) fn new(policy: DegradationPolicy, input_rows: usize) -> Self {
+        PipelineReport { policy, input_rows, published_rows: 0, phases: Default::default() }
     }
 
     /// Mutable accounting slot for `phase`.
-    fn phase_mut(&mut self, phase: Phase) -> &mut PhaseReport {
-        let idx = Phase::ALL.iter().position(|&p| p == phase).unwrap_or(0);
-        &mut self.phases[idx]
+    pub(crate) fn phase_mut(&mut self, phase: Phase) -> &mut PhaseReport {
+        &mut self.phases[phase as usize]
     }
 
     /// Accounting slot for `phase`.
     pub fn phase(&self, phase: Phase) -> &PhaseReport {
-        let idx = Phase::ALL.iter().position(|&p| p == phase).unwrap_or(0);
-        &self.phases[idx]
+        &self.phases[phase as usize]
     }
 
     /// Total rows dropped across all phases.
@@ -407,53 +416,25 @@ impl fmt::Display for PipelineReport {
     }
 }
 
-/// Checkpoint digest of a table: FNV-1a over its owner-tagged CSV form.
-fn digest_table(table: &Table) -> u64 {
-    acpp_data::csv::to_string(table, true)
-        .map(|s| acpp_data::fnv1a(s.as_bytes()))
-        .unwrap_or(0)
-}
-
-/// Checkpoint digest of the Phase-1 artifact: the perturbed sensitive code
-/// column (QI columns are untouched by Phase 1 and already covered by the
-/// ingest digest).
-fn digest_codes(codes: &[u32]) -> u64 {
-    let mut bytes = Vec::with_capacity(4 * codes.len());
-    for c in codes {
-        bytes.extend_from_slice(&c.to_le_bytes());
+/// Rows of `table` carrying any value outside its attribute's domain, in
+/// row order. Clean input costs one pass per column; rows are gathered
+/// only from the columns that hold a bad value.
+pub(crate) fn out_of_domain_rows(table: &Table) -> Vec<usize> {
+    let sizes: Vec<u32> = table.schema().attributes().iter().map(|a| a.domain().size()).collect();
+    let dirty: Vec<usize> =
+        (0..sizes.len()).filter(|&c| table.column(c).iter().any(|&v| v >= sizes[c])).collect();
+    if dirty.is_empty() {
+        return Vec::new();
     }
-    acpp_data::fnv1a(&bytes)
+    table.rows().filter(|&r| dirty.iter().any(|&c| table.column(c)[r] >= sizes[c])).collect()
 }
 
-/// Checkpoint digest of a Phase-2 artifact: the group memberships and the
-/// per-group signatures (stable within one binary; the journal only ever
-/// compares digests produced by the same build).
-fn digest_grouping(grouping: &Grouping, signatures: &[Signature]) -> u64 {
-    let members: Vec<(u32, Vec<usize>)> =
-        grouping.iter_nonempty().map(|(g, m)| (g.0, m.to_vec())).collect();
-    acpp_data::fnv1a(format!("{members:?}|{signatures:?}").as_bytes())
-}
-
-/// Checkpoint digest of the Phase-3 sample.
-fn digest_tuples(tuples: &[PublishedTuple]) -> u64 {
-    acpp_data::fnv1a(format!("{tuples:?}").as_bytes())
-}
-
-/// Rows of `table` carrying any value outside its attribute's domain.
-fn out_of_domain_rows(table: &Table) -> Vec<usize> {
-    let schema = table.schema();
-    let sizes: Vec<u32> = schema.attributes().iter().map(|a| a.domain().size()).collect();
-    table
-        .rows()
-        .filter(|&r| (0..schema.arity()).any(|c| table.value(r, c).code() >= sizes[c]))
-        .collect()
-}
-
-/// Applies the plan's ingest-boundary faults to the working copies.
-fn inject_ingest(
+/// Applies the plan's ingest-boundary faults. The inputs are copied only
+/// when a fault actually lands on them.
+pub(crate) fn inject_ingest(
     plan: &FaultPlan,
-    table: &mut Table,
-    taxonomies: &mut [Taxonomy],
+    table: &mut Cow<'_, Table>,
+    taxonomies: &mut Cow<'_, [Taxonomy]>,
     report: &mut PipelineReport,
 ) {
     let schema = table.schema().clone();
@@ -466,25 +447,25 @@ fn inject_ingest(
         let picks = plan.pick_units(FaultKind::MalformedRow, table.len());
         note_injection(FaultKind::MalformedRow, picks.len());
         for r in picks {
-            table.set_value(r, col, Value(domain + 11));
+            table.to_mut().set_value(r, col, Value(domain + 11));
             rep.faults_injected += 1;
         }
     }
     let picks = plan.pick_units(FaultKind::TruncatedRow, table.len());
     note_injection(FaultKind::TruncatedRow, picks.len());
     for r in picks {
-        table.set_sensitive_value(r, Value(u32::MAX));
+        table.to_mut().set_sensitive_value(r, Value(u32::MAX));
         rep.faults_injected += 1;
     }
     let picks = plan.pick_units(FaultKind::SensitiveOutOfDomain, table.len());
     note_injection(FaultKind::SensitiveOutOfDomain, picks.len());
     for r in picks {
-        table.set_sensitive_value(r, Value(us + 3));
+        table.to_mut().set_sensitive_value(r, Value(us + 3));
         rep.faults_injected += 1;
     }
     if plan.is_active(FaultKind::InconsistentTaxonomy) && !taxonomies.is_empty() {
         let wrong = taxonomies[0].domain_size() + 1;
-        taxonomies[0] = Taxonomy::intervals(wrong, 2);
+        taxonomies.to_mut()[0] = Taxonomy::intervals(wrong, 2);
         rep.faults_injected += 1;
         note_injection(FaultKind::InconsistentTaxonomy, 1);
     }
@@ -492,7 +473,7 @@ fn inject_ingest(
 
 /// Splits one member off the largest group, producing an undersized group —
 /// the shape of a buggy Phase-2 recoding.
-fn inject_degenerate_group(
+pub(crate) fn inject_degenerate_group(
     grouping: &Grouping,
     signatures: &mut Vec<Signature>,
     row_count: usize,
@@ -515,511 +496,22 @@ fn inject_degenerate_group(
     Grouping::from_assignment(assignment, grouping.group_count() + 1)
 }
 
-/// Supplies the RNG stream each pipeline phase draws from.
-///
-/// The legacy contract threads **one** sequential stream through all phases
-/// ([`publish_robust`]); the journaled pipeline derives an **independent**
-/// stream per phase from the run seed ([`SeededPhaseRngs`]), so a resumed
-/// run can regenerate any phase's draws without replaying the draws of the
-/// phases before it.
-pub(crate) trait PhaseRngs {
-    /// The stream for `phase`. Called once per phase, at its start.
-    fn rng(&mut self, phase: Phase) -> &mut dyn rand::RngCore;
-}
-
-/// One caller-supplied stream shared by every phase (legacy behavior).
-pub(crate) struct SingleRng<'a, R: Rng + ?Sized>(pub &'a mut R);
-
-impl<R: Rng + ?Sized> PhaseRngs for SingleRng<'_, R> {
-    fn rng(&mut self, _phase: Phase) -> &mut dyn rand::RngCore {
-        &mut self.0
-    }
-}
-
-/// Mixes a run seed with a phase tag into that phase's stream seed.
-pub(crate) fn phase_stream_seed(seed: u64, phase: Phase) -> u64 {
-    seed ^ (phase.tag() << 48) ^ 0xACC9_07C4_5AFE_u64
-}
-
-/// Independent per-phase streams derived from one run seed — the RNG
-/// contract of the write-ahead journal ([`crate::journal`]). Stream
-/// `phase` is `StdRng::seed_from_u64(phase_stream_seed(seed, phase))`.
-pub(crate) struct SeededPhaseRngs {
-    seed: u64,
-    current: StdRng,
-}
-
-impl SeededPhaseRngs {
-    /// Streams for the run seeded with `seed`.
-    pub(crate) fn new(seed: u64) -> Self {
-        SeededPhaseRngs { seed, current: StdRng::seed_from_u64(seed) }
-    }
-}
-
-impl PhaseRngs for SeededPhaseRngs {
-    fn rng(&mut self, phase: Phase) -> &mut dyn rand::RngCore {
-        self.current = StdRng::seed_from_u64(phase_stream_seed(self.seed, phase));
-        &mut self.current
-    }
-}
-
-/// Observes phase boundaries of a pipeline run.
-///
-/// `digest` computes the phase's artifact digest lazily — the no-op hook
-/// never pays for it. Returning `Err` aborts the run; the journal uses this
-/// both to persist checkpoints and to inject simulated crashes.
-pub(crate) trait BoundaryHook {
-    /// Called when `phase` completes.
-    fn boundary(
-        &mut self,
-        phase: Phase,
-        digest: &mut dyn FnMut() -> u64,
-    ) -> Result<(), AcppError>;
-}
-
-/// The hook used by plain (unjournaled) runs: observes nothing.
-pub(crate) struct NoHook;
-
-impl BoundaryHook for NoHook {
-    fn boundary(
-        &mut self,
-        _phase: Phase,
-        _digest: &mut dyn FnMut() -> u64,
-    ) -> Result<(), AcppError> {
-        Ok(())
-    }
-}
-
-/// Runs Phases 1–3 behind per-phase defenses, optionally injecting the
-/// faults of `plan`, and returns the release with its audit report.
-///
-/// With `plan = None` and no organic faults, the release is identical to
-/// [`crate::pipeline::publish`] under the same RNG seed.
-///
-/// # Errors
-/// * [`AcppError::Validation`] — the inputs fail the pre-flight gate;
-/// * [`AcppError::Fault`] — a defense tripped under
-///   [`DegradationPolicy::Abort`], or a non-skippable fault (inconsistent
-///   taxonomy) was detected under either policy;
-/// * any other variant — the underlying phase failed with its own typed
-///   error (e.g. an unsatisfiable `k`).
-///
-/// On any `Err`, nothing is published.
-pub fn publish_robust<R: Rng + ?Sized>(
-    table: &Table,
-    taxonomies: &[Taxonomy],
-    config: PgConfig,
-    policy: DegradationPolicy,
-    plan: Option<&FaultPlan>,
-    rng: &mut R,
-) -> Result<(PublishedTable, PipelineReport), AcppError> {
-    publish_robust_threaded(table, taxonomies, config, policy, plan, Threads::Fixed(1), rng)
-}
-
-/// [`publish_robust`] on the parallel engine. Output — including every
-/// fault-injection and skip-and-report decision — is byte-identical for
-/// every `threads` value: faults are keyed to logical unit ids (rows, group
-/// ids), never to arrival order.
-pub fn publish_robust_threaded<R: Rng + ?Sized>(
-    table: &Table,
-    taxonomies: &[Taxonomy],
-    config: PgConfig,
-    policy: DegradationPolicy,
-    plan: Option<&FaultPlan>,
-    threads: Threads,
-    rng: &mut R,
-) -> Result<(PublishedTable, PipelineReport), AcppError> {
-    publish_robust_observed(
-        table,
-        taxonomies,
-        config,
-        policy,
-        plan,
-        threads,
-        rng,
-        &Telemetry::disabled(),
-    )
-}
-
-/// [`publish_robust`] with a telemetry handle: the run is wrapped in a
-/// `pipeline.publish` span with one child span per phase, and the global
-/// metrics registry is updated with run/row/fault counters. With
-/// [`Telemetry::disabled`] the span machinery costs a branch per call site
-/// and nothing else.
-#[allow(clippy::too_many_arguments)]
-pub fn publish_robust_observed<R: Rng + ?Sized>(
-    table: &Table,
-    taxonomies: &[Taxonomy],
-    config: PgConfig,
-    policy: DegradationPolicy,
-    plan: Option<&FaultPlan>,
-    threads: Threads,
-    rng: &mut R,
-    telemetry: &Telemetry,
-) -> Result<(PublishedTable, PipelineReport), AcppError> {
-    run_pipeline(
-        table,
-        taxonomies,
-        config,
-        policy,
-        plan,
-        threads.resolve(),
-        &mut SingleRng(rng),
-        &mut NoHook,
-        telemetry,
-    )
-}
-
 /// Bumps the injected-fault counter for `kind` (`units` faulty units).
-fn note_injection(kind: FaultKind, units: usize) {
+pub(crate) fn note_injection(kind: FaultKind, units: usize) {
     if units > 0 {
         metrics().counter_add_labeled("acpp_faults_injected_total", "kind", kind.label(), units as u64);
     }
 }
 
-/// Emits a `phase.progress` event: `done` of `total` work units handled
-/// (rows for ingest/perturbation, rows scanned for generalization,
-/// groups for sampling) and whether the phase's checkpoint boundary has
-/// been crossed. Live trace consumers (`GET /jobs/<id>/trace?follow=1`)
-/// rely on at least one of these per phase; each phase emits one on
-/// entry and one after its boundary digest.
-fn note_progress(telemetry: &Telemetry, phase: Phase, done: usize, total: usize, checkpoint: bool) {
-    telemetry.event(
-        "phase.progress",
-        &[
-            ("phase", FieldValue::Label(phase.label())),
-            ("units_done", FieldValue::Count(done as u64)),
-            ("units_total", FieldValue::Count(total as u64)),
-            ("checkpoint", FieldValue::Flag(checkpoint)),
-        ],
-    );
-}
-
-/// Bumps the detected-fault counter for `phase` and emits a
-/// `fault.detected` event covering `units` faulty units.
-fn note_detection(telemetry: &Telemetry, phase: Phase, units: usize) {
-    metrics().counter_add_labeled("acpp_faults_detected_total", "phase", phase.label(), units as u64);
-    telemetry.event(
-        "fault.detected",
-        &[
-            ("phase", FieldValue::Label(phase.label())),
-            ("units", FieldValue::Count(units as u64)),
-        ],
-    );
-}
-
-/// The pipeline engine behind [`publish_robust`] and the journaled runner:
-/// identical defenses and accounting, parameterized over the RNG contract
-/// ([`PhaseRngs`]) and the boundary observer ([`BoundaryHook`]).
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn run_pipeline(
-    table: &Table,
-    taxonomies: &[Taxonomy],
-    config: PgConfig,
-    policy: DegradationPolicy,
-    plan: Option<&FaultPlan>,
-    threads: usize,
-    rngs: &mut dyn PhaseRngs,
-    hook: &mut dyn BoundaryHook,
-    telemetry: &Telemetry,
-) -> Result<(PublishedTable, PipelineReport), AcppError> {
-    // The root span carries only aggregates and public release metadata
-    // (`p` and `k` are published alongside `D*` by the paper's protocol).
-    let root = telemetry.span("pipeline.publish");
-    root.field("rows", table.len());
-    root.field("k", config.k as u64);
-    root.field("retention_p", config.p);
-    root.field("algorithm", config.algorithm.label());
-    root.field("policy", policy.label());
-    metrics().counter_add("acpp_pipeline_runs_total", 1);
-    metrics().counter_add("acpp_pipeline_rows_total", table.len() as u64);
-
-    let mut report = PipelineReport::new(policy, table.len());
-
-    // ---- Ingest boundary: pre-flight gate, then injection, then scan. ----
-    let span = telemetry.span(Phase::Ingest.span_name());
-    span.field("rows_in", table.len());
-    note_progress(telemetry, Phase::Ingest, 0, table.len(), false);
-    validate_inputs(table, taxonomies, &config)?;
-    let mut working = table.clone();
-    let mut taxes: Vec<Taxonomy> = taxonomies.to_vec();
-    if let Some(plan) = plan {
-        inject_ingest(plan, &mut working, &mut taxes, &mut report);
-    }
-    if let Err(e) = check_taxonomies(working.schema(), &taxes) {
-        // No row-granular unit to skip: atomic failure under either policy.
-        note_detection(telemetry, Phase::Ingest, 1);
-        return Err(AcppError::Fault {
-            phase: Phase::Ingest,
-            detail: format!("inconsistent taxonomy: {e}"),
-        });
-    }
-    let bad_rows = out_of_domain_rows(&working);
-    if !bad_rows.is_empty() {
-        note_detection(telemetry, Phase::Ingest, bad_rows.len());
-        match policy {
-            DegradationPolicy::Abort => {
-                return Err(AcppError::Fault {
-                    phase: Phase::Ingest,
-                    detail: format!(
-                        "{} rows carry out-of-domain values (first at row {})",
-                        bad_rows.len(),
-                        bad_rows[0]
-                    ),
-                });
-            }
-            DegradationPolicy::SkipAndReport => {
-                let drop: std::collections::HashSet<usize> = bad_rows.iter().copied().collect();
-                let keep: Vec<usize> = working.rows().filter(|r| !drop.contains(r)).collect();
-                working = working.select_rows(&keep);
-                let rep = report.phase_mut(Phase::Ingest);
-                rep.rows_dropped += bad_rows.len();
-                rep.faults_survived += bad_rows.len();
-                rep.notes.push(format!(
-                    "dropped {} rows with out-of-domain values",
-                    bad_rows.len()
-                ));
-            }
-        }
-    }
-    hook.boundary(Phase::Ingest, &mut || digest_table(&working))?;
-    note_progress(telemetry, Phase::Ingest, table.len(), table.len(), true);
-    span.field("rows_out", working.len());
-    span.field("rows_dropped", report.phase(Phase::Ingest).rows_dropped);
-    span.end();
-
-    // ---- Phase 1: perturbation, sharded over fixed-size chunks. One
-    // master value is drawn from the phase stream; every chunk (and every
-    // row-keyed redraw below) derives its own substream from it, so the
-    // perturbed column is identical at every thread count. ----
-    let span = telemetry.span(Phase::Perturb.span_name());
-    span.field("rows", working.len());
-    note_progress(telemetry, Phase::Perturb, 0, working.len(), false);
-    let us = working.schema().sensitive_domain_size();
-    let channel = Channel::try_uniform(config.p, us)?;
-    let perturb_master = rngs.rng(Phase::Perturb).next_u64();
-    let mut codes = par::perturb_codes_sharded(
-        &channel,
-        working.sensitive_column(),
-        perturb_master,
-        threads,
-        telemetry,
-    );
-    if let Some(plan) = plan {
-        let picks = plan.pick_units(FaultKind::RngOutOfRange, codes.len());
-        report.phase_mut(Phase::Perturb).faults_injected += picks.len();
-        note_injection(FaultKind::RngOutOfRange, picks.len());
-        for r in picks {
-            codes[r] = us + 1;
-        }
-    }
-    let bad_draws: Vec<usize> =
-        (0..codes.len()).filter(|&r| codes[r] >= us).collect();
-    if !bad_draws.is_empty() {
-        note_detection(telemetry, Phase::Perturb, bad_draws.len());
-        match policy {
-            DegradationPolicy::Abort => {
-                return Err(AcppError::Fault {
-                    phase: Phase::Perturb,
-                    detail: format!(
-                        "{} perturbed values fell outside U^s (first at row {})",
-                        bad_draws.len(),
-                        bad_draws[0]
-                    ),
-                });
-            }
-            DegradationPolicy::SkipAndReport => {
-                // Redraw from the channel's marginal, which is in-domain by
-                // construction. Each redraw comes from the substream keyed
-                // by the faulty row itself.
-                for &r in &bad_draws {
-                    let mut redraw_rng = StdRng::seed_from_u64(substream_seed(
-                        perturb_master,
-                        PERTURB_REDRAW_DOMAIN,
-                        r as u64,
-                    ));
-                    codes[r] = channel.sample_target(&mut redraw_rng).code();
-                }
-                let rep = report.phase_mut(Phase::Perturb);
-                rep.faults_survived += bad_draws.len();
-                rep.notes.push(format!(
-                    "redrew {} out-of-domain perturbed values",
-                    bad_draws.len()
-                ));
-            }
-        }
-    }
-    if let Some(plan) = plan {
-        if plan.is_active(FaultKind::SlowIo) {
-            // A latency spike, not a data fault: the release is untouched
-            // and the run stays clean. Stalling *before* the boundary means
-            // a deadline hook observes the spike at the very next poll.
-            let delay = plan.slow_io_delay();
-            report.phase_mut(Phase::Perturb).faults_injected += 1;
-            note_injection(FaultKind::SlowIo, 1);
-            report
-                .phase_mut(Phase::Perturb)
-                .notes
-                .push(format!("stalled {} ms (injected slow I/O)", delay.as_millis()));
-            std::thread::sleep(delay);
-        }
-    }
-    hook.boundary(Phase::Perturb, &mut || digest_codes(&codes))?;
-    note_progress(telemetry, Phase::Perturb, working.len(), working.len(), true);
-    span.field("redrawn", report.phase(Phase::Perturb).faults_survived);
-    span.end();
-
-    // ---- Phase 2: generalization. ----
-    let span = telemetry.span(Phase::Generalize.span_name());
-    note_progress(telemetry, Phase::Generalize, 0, working.len(), false);
-    let (recoding, mut grouping, mut signatures) =
-        crate::pipeline::phase2_group(&working, &taxes, config, threads)
-            .map_err(AcppError::Generalize)?;
-    if let Some(plan) = plan {
-        if plan.is_active(FaultKind::DegenerateGroup) && !working.is_empty() && config.k >= 2 {
-            grouping = inject_degenerate_group(&grouping, &mut signatures, working.len());
-            report.phase_mut(Phase::Generalize).faults_injected += 1;
-            note_injection(FaultKind::DegenerateGroup, 1);
-        }
-    }
-    let undersized: Vec<GroupId> = grouping
-        .iter_nonempty()
-        .filter(|(_, m)| m.len() < config.k)
-        .map(|(g, _)| g)
-        .collect();
-    let mut suppressed: std::collections::HashSet<u32> = std::collections::HashSet::new();
-    if !undersized.is_empty() {
-        note_detection(telemetry, Phase::Generalize, undersized.len());
-        match policy {
-            DegradationPolicy::Abort => {
-                return Err(AcppError::Fault {
-                    phase: Phase::Generalize,
-                    detail: format!(
-                        "{} QI-groups smaller than k = {} (min size {:?})",
-                        undersized.len(),
-                        config.k,
-                        grouping.min_size()
-                    ),
-                });
-            }
-            DegradationPolicy::SkipAndReport => {
-                let dropped: usize =
-                    undersized.iter().map(|&g| grouping.members(g).len()).sum();
-                suppressed.extend(undersized.iter().map(|g| g.0));
-                let rep = report.phase_mut(Phase::Generalize);
-                rep.groups_suppressed += undersized.len();
-                rep.rows_dropped += dropped;
-                rep.faults_survived += undersized.len();
-                rep.notes.push(format!(
-                    "suppressed {} undersized groups ({} rows)",
-                    undersized.len(),
-                    dropped
-                ));
-            }
-        }
-    }
-    hook.boundary(Phase::Generalize, &mut || digest_grouping(&grouping, &signatures))?;
-    note_progress(telemetry, Phase::Generalize, working.len(), working.len(), true);
-    span.field("groups", grouping.group_count());
-    span.field("groups_suppressed", report.phase(Phase::Generalize).groups_suppressed);
-    span.end();
-
-    // ---- Phase 3: stratified sampling. One master value from the phase
-    // stream; each group's draw comes from the substream keyed by its group
-    // id, so the sample is independent of traversal order and thread count.
-    // ----
-    let span = telemetry.span(Phase::Sample.span_name());
-    note_progress(telemetry, Phase::Sample, 0, grouping.group_count(), false);
-    let sample_master = rngs.rng(Phase::Sample).next_u64();
-    let broken_draws: std::collections::HashSet<usize> = plan
-        .map(|p| {
-            p.pick_units(FaultKind::SampleIndexOutOfRange, grouping.group_count())
-                .into_iter()
-                .collect()
-        })
-        .unwrap_or_default();
-    report.phase_mut(Phase::Sample).faults_injected += broken_draws.len();
-    note_injection(FaultKind::SampleIndexOutOfRange, broken_draws.len());
-    let mut tuples = Vec::new();
-    for (gid, members) in grouping.iter_nonempty() {
-        if suppressed.contains(&gid.0) {
-            continue;
-        }
-        let mut pick = keyed_pick(sample_master, SAMPLE_DOMAIN, gid.index() as u64, members.len())
-            .unwrap_or(0);
-        if broken_draws.contains(&gid.index()) {
-            // The injected sampler asks for a member beyond the group.
-            pick = members.len() + 1;
-        }
-        if pick >= members.len() {
-            note_detection(telemetry, Phase::Sample, 1);
-            match policy {
-                DegradationPolicy::Abort => {
-                    return Err(AcppError::Fault {
-                        phase: Phase::Sample,
-                        detail: format!(
-                            "sampler requested member {pick} of a group of {}",
-                            members.len()
-                        ),
-                    });
-                }
-                DegradationPolicy::SkipAndReport => {
-                    pick %= members.len();
-                    let rep = report.phase_mut(Phase::Sample);
-                    rep.faults_survived += 1;
-                    rep.notes.push(format!(
-                        "clamped an out-of-range draw in group {}",
-                        gid.index()
-                    ));
-                }
-            }
-        }
-        let row = members[pick];
-        tuples.push(PublishedTuple {
-            signature: signatures[gid.index()].clone(),
-            sensitive: Value(codes[row]),
-            group_size: members.len(),
-        });
-    }
-
-    // Cardinality postcondition against the *original* table size.
-    if !table.is_empty() && tuples.len() > table.len() / config.k {
-        return Err(AcppError::Fault {
-            phase: Phase::Sample,
-            detail: format!(
-                "published {} tuples from {} rows with k = {}",
-                tuples.len(),
-                table.len(),
-                config.k
-            ),
-        });
-    }
-    hook.boundary(Phase::Sample, &mut || digest_tuples(&tuples))?;
-    note_progress(telemetry, Phase::Sample, grouping.group_count(), grouping.group_count(), true);
-    span.field("tuples", tuples.len());
-    span.end();
-
-    report.published_rows = tuples.len();
-    metrics().counter_add("acpp_pipeline_tuples_published_total", tuples.len() as u64);
-    metrics().counter_add("acpp_pipeline_rows_dropped_total", report.total_rows_dropped() as u64);
-    root.field("published", tuples.len());
-    root.field("rows_dropped", report.total_rows_dropped());
-    root.field("clean", report.is_clean());
-    let published = PublishedTable::new(
-        working.schema().clone(),
-        recoding,
-        tuples,
-        config.p,
-        config.k,
-    );
-    Ok((published, report))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::pipeline::publish;
+    use crate::config::PgConfig;
+    use crate::error::AcppError;
+    use crate::par::Threads;
+    use crate::pipeline::{publish, publish_robust_observed};
     use acpp_data::{Attribute, Domain, OwnerId, Schema};
+    use acpp_obs::Telemetry;
 
     fn schema() -> Schema {
         Schema::new(vec![
@@ -1070,13 +562,15 @@ mod tests {
         let taxes = taxonomies();
         let cfg = PgConfig::new(0.3, 4).unwrap();
         let baseline = publish(&t, &taxes, cfg, &mut StdRng::seed_from_u64(9)).unwrap();
-        let (robust, report) = publish_robust(
+        let (robust, report) = publish_robust_observed(
             &t,
             &taxes,
             cfg,
             DegradationPolicy::Abort,
             None,
+            Threads::Fixed(1),
             &mut StdRng::seed_from_u64(9),
+            &Telemetry::disabled(),
         )
         .unwrap();
         assert_eq!(baseline, robust);
@@ -1090,13 +584,15 @@ mod tests {
         let taxes = taxonomies();
         let cfg = PgConfig::new(0.3, 4).unwrap();
         let plan = FaultPlan::new(7).with(FaultKind::MalformedRow);
-        let err = publish_robust(
+        let err = publish_robust_observed(
             &t,
             &taxes,
             cfg,
             DegradationPolicy::Abort,
             Some(&plan),
+            Threads::Fixed(1),
             &mut StdRng::seed_from_u64(9),
+            &Telemetry::disabled(),
         )
         .unwrap_err();
         assert!(matches!(err, AcppError::Fault { phase: Phase::Ingest, .. }));
@@ -1112,13 +608,15 @@ mod tests {
             .with(FaultKind::MalformedRow)
             .with(FaultKind::TruncatedRow)
             .with(FaultKind::SensitiveOutOfDomain);
-        let (_, report) = publish_robust(
+        let (_, report) = publish_robust_observed(
             &t,
             &taxes,
             cfg,
             DegradationPolicy::SkipAndReport,
             Some(&plan),
+            Threads::Fixed(1),
             &mut StdRng::seed_from_u64(9),
+            &Telemetry::disabled(),
         )
         .unwrap();
         let ingest = report.phase(Phase::Ingest);
@@ -1134,25 +632,29 @@ mod tests {
         let t = table(160);
         let taxes = taxonomies();
         let cfg = PgConfig::new(0.3, 4).unwrap();
-        let (baseline, _) = publish_robust(
+        let (baseline, _) = publish_robust_observed(
             &t,
             &taxes,
             cfg,
             DegradationPolicy::Abort,
             None,
+            Threads::Fixed(1),
             &mut StdRng::seed_from_u64(21),
+            &Telemetry::disabled(),
         )
         .unwrap();
         let plan = FaultPlan::new(5).with(FaultKind::SlowIo).with_intensity(2);
         assert_eq!(plan.slow_io_delay(), std::time::Duration::from_millis(50));
         let started = std::time::Instant::now();
-        let (slow, report) = publish_robust(
+        let (slow, report) = publish_robust_observed(
             &t,
             &taxes,
             cfg,
             DegradationPolicy::Abort,
             Some(&plan),
+            Threads::Fixed(1),
             &mut StdRng::seed_from_u64(21),
+            &Telemetry::disabled(),
         )
         .unwrap();
         assert!(started.elapsed() >= plan.slow_io_delay(), "the stall must be real");
@@ -1172,13 +674,15 @@ mod tests {
         let cfg = PgConfig::new(0.3, 4).unwrap();
         let plan = FaultPlan::new(3).with(FaultKind::InconsistentTaxonomy);
         for policy in [DegradationPolicy::Abort, DegradationPolicy::SkipAndReport] {
-            let err = publish_robust(
+            let err = publish_robust_observed(
                 &t,
                 &taxes,
                 cfg,
                 policy,
                 Some(&plan),
+                Threads::Fixed(1),
                 &mut StdRng::seed_from_u64(9),
+                &Telemetry::disabled(),
             )
             .unwrap_err();
             assert!(matches!(err, AcppError::Fault { phase: Phase::Ingest, .. }), "{policy}");

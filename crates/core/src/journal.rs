@@ -49,13 +49,11 @@
 //! guarantees above.
 
 use crate::cancel::CancelToken;
-use crate::config::{Phase2Algorithm, PgConfig};
+use crate::config::PgConfig;
 use crate::error::AcppError;
-use crate::fault::{
-    run_pipeline, BoundaryHook, DegradationPolicy, FaultPlan, NoHook, Phase, PipelineReport,
-    SeededPhaseRngs,
-};
+use crate::fault::{DegradationPolicy, FaultPlan, Phase, PipelineReport};
 use crate::par::Threads;
+use crate::pipeline::{run_pipeline, BoundaryHook, NoHook, Run, SeededPhaseRngs};
 use crate::published::PublishedTable;
 use acpp_data::atomic::{publish_staged, stage_file, tmp_path, EpochFence, RetryPolicy};
 use acpp_data::digest::{fnv1a, parse_digest, render_digest};
@@ -118,19 +116,10 @@ impl CrashPoint {
         }
     }
 
-    /// Parses the CLI spelling (e.g. `after-perturb`, `mid-write`).
+    /// Parses the CLI spelling, which is the [`Display`](fmt::Display) form
+    /// (e.g. `after-perturb`, `mid-write`).
     pub fn parse(s: &str) -> Option<CrashPoint> {
-        Some(match s {
-            "after-begin" => CrashPoint::AfterBegin,
-            "after-ingest" => CrashPoint::AfterIngest,
-            "after-perturb" => CrashPoint::AfterPerturb,
-            "after-generalize" => CrashPoint::AfterGeneralize,
-            "after-sample" => CrashPoint::AfterSample,
-            "mid-write" => CrashPoint::MidReleaseWrite,
-            "after-stage" => CrashPoint::AfterStage,
-            "after-rename" => CrashPoint::AfterRename,
-            _ => return None,
-        })
+        CrashPoint::ALL.into_iter().find(|point| point.to_string() == s)
     }
 }
 
@@ -169,51 +158,6 @@ pub struct RunFingerprint {
     pub rows: usize,
 }
 
-fn alg_name(alg: Phase2Algorithm) -> &'static str {
-    match alg {
-        Phase2Algorithm::Mondrian => "mondrian",
-        Phase2Algorithm::Tds => "tds",
-        Phase2Algorithm::FullDomain => "full-domain",
-    }
-}
-
-fn parse_alg(s: &str) -> Option<Phase2Algorithm> {
-    Some(match s {
-        "mondrian" => Phase2Algorithm::Mondrian,
-        "tds" => Phase2Algorithm::Tds,
-        "full-domain" => Phase2Algorithm::FullDomain,
-        _ => return None,
-    })
-}
-
-fn policy_name(policy: DegradationPolicy) -> &'static str {
-    match policy {
-        DegradationPolicy::Abort => "abort",
-        DegradationPolicy::SkipAndReport => "skip",
-    }
-}
-
-fn parse_policy(s: &str) -> Option<DegradationPolicy> {
-    Some(match s {
-        "abort" => DegradationPolicy::Abort,
-        "skip" => DegradationPolicy::SkipAndReport,
-        _ => return None,
-    })
-}
-
-fn phase_name(phase: Phase) -> &'static str {
-    match phase {
-        Phase::Ingest => "ingest",
-        Phase::Perturb => "perturbation",
-        Phase::Generalize => "generalization",
-        Phase::Sample => "sampling",
-    }
-}
-
-fn parse_phase(s: &str) -> Option<Phase> {
-    Phase::ALL.into_iter().find(|&p| phase_name(p) == s)
-}
-
 impl RunFingerprint {
     /// Computes the fingerprint of a run over the given inputs.
     pub fn compute(
@@ -236,8 +180,8 @@ impl RunFingerprint {
             self.seed,
             self.config.p.to_bits(),
             self.config.k,
-            alg_name(self.config.algorithm),
-            policy_name(self.policy),
+            self.config.algorithm.wire_name(),
+            self.policy.wire_name(),
             render_digest(self.input_digest),
             render_digest(self.taxonomy_digest),
             self.rows,
@@ -263,8 +207,8 @@ impl RunFingerprint {
                 "seed" => seed = value.parse::<u64>().ok(),
                 "p" => p_bits = u64::from_str_radix(value, 16).ok(),
                 "k" => k = value.parse::<usize>().ok(),
-                "alg" => alg = parse_alg(value),
-                "policy" => policy = parse_policy(value),
+                "alg" => alg = value.parse().ok(),
+                "policy" => policy = value.parse().ok(),
                 "input" => input = parse_digest(value),
                 "taxes" => taxes = parse_digest(value),
                 "rows" => rows = value.parse::<usize>().ok(),
@@ -300,7 +244,7 @@ impl Record {
         match self {
             Record::Begin(fp) => fp.encode(),
             Record::Phase(phase, digest) => {
-                format!("phase {} {}", phase_name(*phase), render_digest(*digest))
+                format!("phase {phase} {}", render_digest(*digest))
             }
             Record::Staged { digest, len } => {
                 format!("staged {} {len}", render_digest(*digest))
@@ -327,7 +271,8 @@ impl Record {
         }
         if let Some(rest) = body.strip_prefix("phase ") {
             let (name, digest) = rest.split_once(' ')?;
-            return Some(Record::Phase(parse_phase(name)?, parse_digest(digest)?));
+            let phase = Phase::ALL.into_iter().find(|p| p.to_string() == name)?;
+            return Some(Record::Phase(phase, parse_digest(digest)?));
         }
         if let Some(rest) = body.strip_prefix("staged ") {
             let (digest, len) = rest.split_once(' ')?;
@@ -468,12 +413,24 @@ impl JournalWriter {
 
 /// The boundary hook of a journaled run: verifies recomputed phase
 /// artifacts against durable checkpoints, appends checkpoints for phases
-/// not yet recorded, and fires simulated crashes.
+/// not yet recorded, fires simulated crashes, and polls the ownership
+/// fence and the cancellation token.
+///
+/// Order matters. The fence is polled **first**: a superseded owner must
+/// not keep appending to a journal another node now drives. (Runs are
+/// deterministic, so a lost append race would write identical bytes — this
+/// check bounds wasted work, while the commit-path checks in `drive` are
+/// the correctness guard.) The token is polled **last**, so the
+/// just-completed phase's checkpoint is durable before it is consulted: a
+/// cancelled run always leaves a journal that [`resume`] completes
+/// byte-identically, which is what a graceful service drain relies on.
 struct JournalHook<'a> {
     writer: &'a mut JournalWriter,
     known: Vec<(Phase, u64)>,
     crash: Option<CrashPoint>,
     telemetry: &'a Telemetry,
+    cancel: Option<&'a CancelToken>,
+    fence: Option<&'a EpochFence>,
 }
 
 impl BoundaryHook for JournalHook<'_> {
@@ -482,8 +439,11 @@ impl BoundaryHook for JournalHook<'_> {
         phase: Phase,
         digest: &mut dyn FnMut() -> u64,
     ) -> Result<(), AcppError> {
+        if let Some(fence) = self.fence {
+            fence.check(&format!("{phase} boundary"))?;
+        }
         let d = digest();
-        match self.known.iter().find(|(p, _)| *p == phase) {
+        let verified = match self.known.iter().find(|(p, _)| *p == phase) {
             Some(&(_, recorded)) if recorded != d => {
                 return Err(AcppError::Journal(format!(
                     "resume diverged at the {phase} boundary: journal {} vs recomputed {} — \
@@ -494,61 +454,24 @@ impl BoundaryHook for JournalHook<'_> {
             }
             Some(_) => {
                 metrics().counter_add("acpp_journal_checkpoints_verified_total", 1);
-                self.telemetry.event(
-                    "journal.checkpoint",
-                    &[
-                        ("phase", FieldValue::Label(phase.label())),
-                        ("verified", FieldValue::Flag(true)),
-                    ],
-                );
+                true
             }
             None => {
                 self.writer.append(&Record::Phase(phase, d))?;
                 metrics().counter_add("acpp_journal_checkpoints_recorded_total", 1);
-                self.telemetry.event(
-                    "journal.checkpoint",
-                    &[
-                        ("phase", FieldValue::Label(phase.label())),
-                        ("verified", FieldValue::Flag(false)),
-                    ],
-                );
+                false
             }
-        }
+        };
+        self.telemetry.event(
+            "journal.checkpoint",
+            &[
+                ("phase", FieldValue::Label(phase.label())),
+                ("verified", FieldValue::Flag(verified)),
+            ],
+        );
         if self.crash == Some(CrashPoint::at_boundary(phase)) {
             return Err(simulated_crash(CrashPoint::at_boundary(phase)));
         }
-        Ok(())
-    }
-}
-
-/// Wraps the journal hook with a cooperative-cancellation poll.
-///
-/// Order matters: the inner hook runs **first**, so the just-completed
-/// phase's checkpoint is durable before the token is consulted. A cancelled
-/// run therefore always leaves a journal that [`resume`] completes
-/// byte-identically — cancellation checkpoints work instead of discarding
-/// it, which is what a graceful service drain relies on.
-struct CancelHook<'a> {
-    inner: JournalHook<'a>,
-    cancel: Option<&'a CancelToken>,
-    fence: Option<&'a EpochFence>,
-}
-
-impl BoundaryHook for CancelHook<'_> {
-    fn boundary(
-        &mut self,
-        phase: Phase,
-        digest: &mut dyn FnMut() -> u64,
-    ) -> Result<(), AcppError> {
-        // The fence is polled **before** the inner hook: a superseded owner
-        // must not keep appending to a journal another node now drives.
-        // (Runs are deterministic, so a lost append race would write
-        // identical bytes — this check bounds wasted work, while the
-        // commit-path checks in `drive` are the correctness guard.)
-        if let Some(fence) = self.fence {
-            fence.check(&format!("{phase} boundary"))?;
-        }
-        self.inner.boundary(phase, digest)?;
         match self.cancel {
             Some(token) => token.check(phase.label()),
             None => Ok(()),
@@ -576,21 +499,24 @@ pub struct JournaledRun {
     pub checkpoints_reused: usize,
 }
 
-/// Knobs of a journaled run shared by [`publish_journaled_opts`] and
-/// [`resume_opts`] — the service-grade entry points. Everything defaults to
-/// the plain batch behavior: auto thread count, disabled telemetry, no
-/// fault plan, no cancellation, no simulated crash.
+/// Knobs of a journaled run shared by [`publish_journaled`] and [`resume`].
+/// Everything defaults to the plain batch behavior: auto thread count,
+/// disabled telemetry, no fault plan, no cancellation, no simulated crash.
 ///
 /// `plan` participates in the run's bytes (injected faults change
 /// checkpoints and the release), so a resume must be handed the same plan
 /// the original run had — a mismatch is caught at the first divergent
-/// checkpoint. `cancel` and `crash` are *interruptions*: they stop a run
-/// mid-flight but never change what a completed run publishes.
+/// checkpoint. `threads`, `telemetry`, `cancel` and `crash` never change
+/// what a completed run publishes: the journal fingerprint, every
+/// checkpoint digest and the release bytes are identical at every thread
+/// count, so a journal written at one count resumes at any other.
 #[derive(Default)]
 pub struct RunOptions<'a> {
     /// Worker threads (wall-clock only; never affects bytes).
     pub threads: Threads,
-    /// Telemetry handle; `None` runs with telemetry disabled.
+    /// Telemetry handle; `None` runs with telemetry disabled. Spans cover
+    /// the pipeline phases, checkpoint verification, release staging, and
+    /// the commit rename.
     pub telemetry: Option<&'a Telemetry>,
     /// Fault plan to inject through the journaled pipeline.
     pub plan: Option<&'a FaultPlan>,
@@ -616,85 +542,21 @@ pub fn publish_deterministic(
     policy: DegradationPolicy,
     seed: u64,
 ) -> Result<(PublishedTable, PipelineReport), AcppError> {
-    let mut rngs = SeededPhaseRngs::new(seed);
-    run_pipeline(
-        table,
-        taxonomies,
-        config,
-        policy,
-        None,
-        1,
-        &mut rngs,
-        &mut NoHook,
-        &Telemetry::disabled(),
-    )
+    let (mut rngs, mut hook) = (SeededPhaseRngs::new(seed), NoHook);
+    let telemetry = Telemetry::disabled();
+    let run = Run::new(policy, None, 1, &mut rngs, &mut hook, &telemetry);
+    run_pipeline(table, taxonomies, config, run)
 }
 
 /// Publishes under a fresh write-ahead journal in `dir`, committing the
-/// release atomically to `out`.
+/// release atomically to `out` — the entry point `acpp publish --journal`
+/// and `acppd` run jobs through.
 ///
 /// Fails with [`AcppError::Journal`] if `dir` already holds a journal —
 /// an interrupted run must be completed with [`resume`] (or the directory
 /// cleared), never silently restarted over.
+#[allow(clippy::too_many_arguments)]
 pub fn publish_journaled(
-    table: &Table,
-    taxonomies: &[Taxonomy],
-    config: PgConfig,
-    policy: DegradationPolicy,
-    seed: u64,
-    dir: &Path,
-    out: &Path,
-) -> Result<JournaledRun, AcppError> {
-    let opts = RunOptions { threads: Threads::Fixed(1), ..RunOptions::default() };
-    publish_journaled_opts(table, taxonomies, config, policy, seed, dir, out, &opts)
-}
-
-/// [`publish_journaled`] with a telemetry handle and a worker-thread knob:
-/// spans cover the pipeline phases, checkpoint verification, release
-/// staging, and the commit rename. `threads` affects wall-clock only — the
-/// journal fingerprint, every checkpoint digest, and the release bytes are
-/// identical at every thread count (a journal written at one count resumes
-/// correctly at any other).
-#[allow(clippy::too_many_arguments)]
-pub fn publish_journaled_observed(
-    table: &Table,
-    taxonomies: &[Taxonomy],
-    config: PgConfig,
-    policy: DegradationPolicy,
-    seed: u64,
-    dir: &Path,
-    out: &Path,
-    threads: Threads,
-    telemetry: &Telemetry,
-) -> Result<JournaledRun, AcppError> {
-    let opts =
-        RunOptions { threads, telemetry: Some(telemetry), ..RunOptions::default() };
-    publish_journaled_opts(table, taxonomies, config, policy, seed, dir, out, &opts)
-}
-
-/// [`publish_journaled`] with an injected [`CrashPoint`] — the entry the
-/// killpoint matrix drives. `crash = None` is the production path.
-#[allow(clippy::too_many_arguments)]
-pub fn publish_journaled_with_crash(
-    table: &Table,
-    taxonomies: &[Taxonomy],
-    config: PgConfig,
-    policy: DegradationPolicy,
-    seed: u64,
-    dir: &Path,
-    out: &Path,
-    threads: Threads,
-    crash: Option<CrashPoint>,
-) -> Result<JournaledRun, AcppError> {
-    let opts = RunOptions { threads, crash, ..RunOptions::default() };
-    publish_journaled_opts(table, taxonomies, config, policy, seed, dir, out, &opts)
-}
-
-/// [`publish_journaled`] with the full [`RunOptions`] surface: worker
-/// threads, telemetry, an injected fault plan, cooperative cancellation,
-/// and the killpoint matrix — the entry point `acppd` runs jobs through.
-#[allow(clippy::too_many_arguments)]
-pub fn publish_journaled_opts(
     table: &Table,
     taxonomies: &[Taxonomy],
     config: PgConfig,
@@ -731,47 +593,11 @@ pub fn publish_journaled_opts(
 /// journal's fingerprint is verified against them, every recomputed phase
 /// is verified against its durable checkpoint, and the release commit is
 /// rolled forward (or redone) atomically. Resuming a journal that already
-/// completed (`done`) verifies the release on disk and returns it.
+/// completed (`done`) verifies the release on disk and returns it. A run
+/// interrupted with a fault plan must be resumed with the **same** plan;
+/// a mismatch is refused at the first divergent checkpoint.
+#[allow(clippy::too_many_arguments)]
 pub fn resume(
-    table: &Table,
-    taxonomies: &[Taxonomy],
-    config: PgConfig,
-    policy: DegradationPolicy,
-    seed: u64,
-    dir: &Path,
-    out: &Path,
-) -> Result<JournaledRun, AcppError> {
-    let opts = RunOptions { threads: Threads::Fixed(1), ..RunOptions::default() };
-    resume_opts(table, taxonomies, config, policy, seed, dir, out, &opts)
-}
-
-/// [`resume`] with a telemetry handle and a worker-thread knob. The knob
-/// need not match the interrupted run's: checkpoints and the release are
-/// thread-count independent, so a journal written at one count verifies
-/// and completes at any other.
-#[allow(clippy::too_many_arguments)]
-pub fn resume_observed(
-    table: &Table,
-    taxonomies: &[Taxonomy],
-    config: PgConfig,
-    policy: DegradationPolicy,
-    seed: u64,
-    dir: &Path,
-    out: &Path,
-    threads: Threads,
-    telemetry: &Telemetry,
-) -> Result<JournaledRun, AcppError> {
-    let opts =
-        RunOptions { threads, telemetry: Some(telemetry), ..RunOptions::default() };
-    resume_opts(table, taxonomies, config, policy, seed, dir, out, &opts)
-}
-
-/// [`resume`] with the full [`RunOptions`] surface. A run interrupted with
-/// a fault plan must be resumed with the **same** plan: the plan's
-/// injections are part of the run's bytes, and a mismatch is refused at the
-/// first divergent checkpoint.
-#[allow(clippy::too_many_arguments)]
-pub fn resume_opts(
     table: &Table,
     taxonomies: &[Taxonomy],
     config: PgConfig,
@@ -838,22 +664,17 @@ fn drive(
         token.check("admission")?;
     }
     let mut rngs = SeededPhaseRngs::new(fingerprint.seed);
-    let mut hook = CancelHook {
-        inner: JournalHook { writer, known: state.phase_digests.clone(), crash, telemetry },
+    let mut hook = JournalHook {
+        writer,
+        known: state.phase_digests.clone(),
+        crash,
+        telemetry,
         cancel: opts.cancel,
         fence: opts.fence,
     };
-    let (published, report) = run_pipeline(
-        table,
-        taxonomies,
-        fingerprint.config,
-        fingerprint.policy,
-        opts.plan,
-        opts.threads.resolve(),
-        &mut rngs,
-        &mut hook,
-        telemetry,
-    )?;
+    let threads = opts.threads.resolve();
+    let run = Run::new(fingerprint.policy, opts.plan, threads, &mut rngs, &mut hook, telemetry);
+    let (published, report) = run_pipeline(table, taxonomies, fingerprint.config, run)?;
 
     let bytes = published.render(taxonomies).into_bytes();
     let digest = fnv1a(&bytes);
@@ -979,6 +800,10 @@ mod tests {
         vec![Taxonomy::intervals(8, 2), Taxonomy::intervals(4, 2)]
     }
 
+    fn none() -> RunOptions<'static> {
+        RunOptions::default()
+    }
+
     fn tmpdir(name: &str) -> PathBuf {
         let dir = std::env::temp_dir().join("acpp-journal-tests").join(name);
         let _ = fs::remove_dir_all(&dir);
@@ -1035,7 +860,7 @@ mod tests {
         let dir = tmpdir("clean");
         let out = dir.join("dstar.csv");
         let run = publish_journaled(
-            &t, &taxes, cfg, DegradationPolicy::Abort, 7, &dir, &out,
+            &t, &taxes, cfg, DegradationPolicy::Abort, 7, &dir, &out, &RunOptions::default(),
         )
         .unwrap();
         let (baseline, _) =
@@ -1050,7 +875,7 @@ mod tests {
     #[test]
     fn per_phase_streams_differ_from_single_stream() {
         // The journaled contract is a different (but fixed) determinism
-        // domain than the legacy single-stream pipeline.
+        // domain than the single-stream entry points.
         let t = table(200);
         let taxes = taxonomies();
         let cfg = PgConfig::new(0.3, 4).unwrap();
@@ -1068,9 +893,10 @@ mod tests {
         let cfg = PgConfig::new(0.3, 4).unwrap();
         let dir = tmpdir("refuse");
         let out = dir.join("dstar.csv");
-        publish_journaled(&t, &taxes, cfg, DegradationPolicy::Abort, 1, &dir, &out).unwrap();
-        let err = publish_journaled(&t, &taxes, cfg, DegradationPolicy::Abort, 1, &dir, &out)
-            .unwrap_err();
+        let policy = DegradationPolicy::Abort;
+        let run = || publish_journaled(&t, &taxes, cfg, policy, 1, &dir, &out, &none());
+        run().unwrap();
+        let err = run().unwrap_err();
         assert!(matches!(err, AcppError::Journal(_)));
         assert_eq!(err.exit_code(), 10);
     }
@@ -1082,20 +908,21 @@ mod tests {
         let cfg = PgConfig::new(0.3, 4).unwrap();
         let dir = tmpdir("mismatch");
         let out = dir.join("dstar.csv");
-        let err = publish_journaled_with_crash(
+        let err = publish_journaled(
             &t, &taxes, cfg, DegradationPolicy::Abort, 1, &dir, &out,
-            Threads::Fixed(1),
-            Some(CrashPoint::AfterPerturb),
+            &RunOptions { crash: Some(CrashPoint::AfterPerturb), ..RunOptions::default() },
         )
         .unwrap_err();
         assert!(err.to_string().contains("simulated crash"));
         // Different seed => different fingerprint.
-        let err = resume(&t, &taxes, cfg, DegradationPolicy::Abort, 2, &dir, &out).unwrap_err();
+        let err = resume(&t, &taxes, cfg, DegradationPolicy::Abort, 2, &dir, &out, &none())
+            .unwrap_err();
         assert!(err.to_string().contains("fingerprint"));
         // Mutated input => different fingerprint.
         let mut t2 = t.clone();
         t2.set_sensitive_value(0, Value(9));
-        let err = resume(&t2, &taxes, cfg, DegradationPolicy::Abort, 1, &dir, &out).unwrap_err();
+        let err = resume(&t2, &taxes, cfg, DegradationPolicy::Abort, 1, &dir, &out, &none())
+            .unwrap_err();
         assert!(err.to_string().contains("fingerprint"));
     }
 
@@ -1107,9 +934,11 @@ mod tests {
         let dir = tmpdir("idempotent");
         let out = dir.join("dstar.csv");
         let first =
-            publish_journaled(&t, &taxes, cfg, DegradationPolicy::Abort, 3, &dir, &out).unwrap();
+            publish_journaled(&t, &taxes, cfg, DegradationPolicy::Abort, 3, &dir, &out, &none())
+                .unwrap();
         let bytes = fs::read(&out).unwrap();
-        let again = resume(&t, &taxes, cfg, DegradationPolicy::Abort, 3, &dir, &out).unwrap();
+        let again =
+            resume(&t, &taxes, cfg, DegradationPolicy::Abort, 3, &dir, &out, &none()).unwrap();
         assert!(again.resumed);
         assert_eq!(again.published, first.published);
         assert_eq!(fs::read(&out).unwrap(), bytes);
@@ -1124,13 +953,12 @@ mod tests {
         let taxes = taxonomies();
         let cfg = PgConfig::new(0.3, 4).unwrap();
         let out = dir.join("dstar.csv");
-        let _ = publish_journaled_with_crash(
+        let _ = publish_journaled(
             &t, &taxes, cfg, DegradationPolicy::Abort, 1, &dir, &out,
-            Threads::Fixed(1),
-            Some(CrashPoint::AfterSample),
+            &RunOptions { crash: Some(CrashPoint::AfterSample), ..RunOptions::default() },
         );
         assert_eq!(status(&dir), JournalStatus::Interrupted);
-        resume(&t, &taxes, cfg, DegradationPolicy::Abort, 1, &dir, &out).unwrap();
+        resume(&t, &taxes, cfg, DegradationPolicy::Abort, 1, &dir, &out, &none()).unwrap();
         assert_eq!(status(&dir), JournalStatus::Complete);
     }
 
@@ -1150,7 +978,7 @@ mod tests {
             cancel: Some(&token),
             ..RunOptions::default()
         };
-        let err = publish_journaled_opts(
+        let err = publish_journaled(
             &t, &taxes, cfg, DegradationPolicy::Abort, 5, &dir, &out, &opts,
         )
         .unwrap_err();
@@ -1158,7 +986,8 @@ mod tests {
         assert_eq!(status(&dir), JournalStatus::Interrupted);
         assert!(!out.exists(), "nothing published on cancellation");
         // The interrupted journal resumes to exactly the fault-free bytes.
-        let run = resume(&t, &taxes, cfg, DegradationPolicy::Abort, 5, &dir, &out).unwrap();
+        let run =
+            resume(&t, &taxes, cfg, DegradationPolicy::Abort, 5, &dir, &out, &none()).unwrap();
         assert!(run.resumed);
         let (baseline, _) =
             publish_deterministic(&t, &taxes, cfg, DegradationPolicy::Abort, 5).unwrap();
@@ -1182,7 +1011,7 @@ mod tests {
             plan: Some(&plan),
             ..RunOptions::default()
         };
-        publish_journaled_opts(
+        publish_journaled(
             &t, &taxes, cfg, DegradationPolicy::SkipAndReport, 5, &dir_a, &out_a, &opts,
         )
         .unwrap();
@@ -1195,11 +1024,11 @@ mod tests {
             crash: Some(CrashPoint::AfterGeneralize),
             ..RunOptions::default()
         };
-        publish_journaled_opts(
+        publish_journaled(
             &t, &taxes, cfg, DegradationPolicy::SkipAndReport, 5, &dir_b, &out_b, &crash_opts,
         )
         .unwrap_err();
-        let resumed = resume_opts(
+        let resumed = resume(
             &t, &taxes, cfg, DegradationPolicy::SkipAndReport, 5, &dir_b, &out_b, &opts,
         )
         .unwrap();
@@ -1208,12 +1037,12 @@ mod tests {
         // Resuming with a *different* plan is refused at a checkpoint.
         let dir_c = tmpdir("plan-mismatch");
         let out_c = dir_c.join("dstar.csv");
-        publish_journaled_opts(
+        publish_journaled(
             &t, &taxes, cfg, DegradationPolicy::SkipAndReport, 5, &dir_c, &out_c, &crash_opts,
         )
         .unwrap_err();
         let bare = RunOptions { threads: Threads::Fixed(1), ..RunOptions::default() };
-        let err = resume_opts(
+        let err = resume(
             &t, &taxes, cfg, DegradationPolicy::SkipAndReport, 5, &dir_c, &out_c, &bare,
         )
         .unwrap_err();

@@ -19,15 +19,20 @@
 //!
 //! Module map:
 //!
-//! * [`pipeline`] — the three-phase publication algorithm;
+//! * [`pipeline`] — the three-phase publication algorithm: the one body
+//!   that sequences Phases 1–3 behind the fault defenses, and the entry
+//!   points [`publish`], [`publish_robust_observed`] and (with the `trace`
+//!   feature) `publish_with_trace`;
 //! * [`published`] — the released table `D*` and crucial-tuple lookup;
 //! * [`guarantees`] — the privacy calculus of Theorems 1–3 (`h⊤`, `F(w)`,
 //!   `w_m`, minimal certifiable `ρ2` and `Δ`, retention-probability
 //!   solvers); reproduces the paper's Table III exactly;
 //! * [`params`] — the `Cardinality` constraint (`k = ⌈1/s⌉`);
-//! * [`fault`] — deterministic fault injection and the hardened pipeline;
+//! * [`fault`] — fault plans, degradation policies, the per-phase report,
+//!   and the injection helpers the pipeline body calls;
 //! * [`journal`] — write-ahead journaling, atomic release commit, and
-//!   byte-identical crash resume;
+//!   byte-identical crash resume: [`publish_journaled`], [`resume`], and
+//!   the unjournaled [`publish_deterministic`] on the same RNG contract;
 //! * [`cancel`] — cooperative cancellation (deadlines, service drain)
 //!   polled at the journal's checkpoint boundaries;
 //! * [`observe`] — privacy-safe telemetry instrumentation: the
@@ -53,20 +58,15 @@ pub mod validate;
 pub use cancel::{CancelReason, CancelToken};
 pub use config::{Phase2Algorithm, PgConfig};
 pub use error::{AcppError, CoreError};
-pub use fault::{
-    publish_robust, publish_robust_threaded, DegradationPolicy, FaultKind, FaultPlan, Phase,
-    PhaseReport, PipelineReport,
-};
-pub use fault::publish_robust_observed;
+pub use fault::{DegradationPolicy, FaultKind, FaultPlan, Phase, PhaseReport, PipelineReport};
 pub use guarantees::GuaranteeParams;
 pub use journal::{
-    publish_deterministic, publish_journaled, publish_journaled_observed, publish_journaled_opts,
-    resume, resume_observed, resume_opts, CrashPoint, JournalStatus, JournaledRun, RunFingerprint,
-    RunOptions,
+    publish_deterministic, publish_journaled, resume, CrashPoint, JournalStatus, JournaledRun,
+    RunFingerprint, RunOptions,
 };
 pub use observe::record_guarantee_surface;
 pub use par::{Threads, CHUNK_ROWS};
-pub use pipeline::{publish, publish_observed, publish_threaded};
+pub use pipeline::{publish, publish_robust_observed};
 #[cfg(any(test, feature = "trace"))]
 pub use pipeline::{publish_with_trace, PgTrace};
 pub use published::{PublishedTable, PublishedTuple};

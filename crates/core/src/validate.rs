@@ -1,10 +1,9 @@
 //! Pre-flight validation of pipeline inputs.
 //!
-//! The pipeline proper ([`crate::pipeline::publish`]) checks what it must to
-//! stay sound; this module is the stricter gate run at the *entry* of a
-//! publication — by the CLI and by the fault-injection harness — so that bad
-//! inputs are rejected with [`AcppError::Validation`] (exit code 2) before
-//! any phase runs, rather than surfacing mid-pipeline as a deeper error.
+//! The pipeline body ([`crate::pipeline`]) runs this gate at its ingest
+//! boundary, so every entry point rejects bad inputs with
+//! [`AcppError::Validation`] (exit code 2) before any phase runs, rather
+//! than surfacing mid-pipeline as a deeper error.
 //!
 //! Checks:
 //!
@@ -33,10 +32,24 @@ pub fn validate_inputs(
     taxonomies: &[Taxonomy],
     config: &PgConfig,
 ) -> Result<(), AcppError> {
+    validate_run(table, taxonomies, config, false)
+}
+
+/// The gate the pipeline body runs. `traced` admits `p = 0`: a traced run
+/// (`publish_with_trace`, test and `trace` builds only) never ships a
+/// release, and the conformance audit sweeps the degenerate channel on
+/// purpose.
+pub(crate) fn validate_run(
+    table: &Table,
+    taxonomies: &[Taxonomy],
+    config: &PgConfig,
+    traced: bool,
+) -> Result<(), AcppError> {
     // --- Parameter ranges. The pipeline itself accepts p = 0 (a channel
     // that always redraws), but no anti-corruption guarantee is certifiable
     // there, so the entry gate rejects it.
-    if !(config.p.is_finite() && config.p > 0.0 && config.p <= 1.0) {
+    let p_ok = config.p > 0.0 || (traced && config.p == 0.0);
+    if !(config.p.is_finite() && p_ok && config.p <= 1.0) {
         return Err(AcppError::Validation(format!(
             "retention probability p must lie in (0, 1], got {}",
             config.p

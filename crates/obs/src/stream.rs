@@ -210,11 +210,13 @@ mod tests {
 
     #[test]
     fn publish_never_blocks_without_readers() {
-        let t = Telemetry::enabled();
+        // Built once, outside the timed loop: `rec` reads back every record
+        // so far, which would make the loop quadratic in the helper.
+        let record = rec(&Telemetry::enabled());
         let buf = TraceBuffer::new(1);
         let start = std::time::Instant::now();
         for _ in 0..10_000 {
-            buf.publish(rec(&t));
+            buf.publish(record.clone());
         }
         assert!(start.elapsed() < Duration::from_secs(5));
         assert_eq!(buf.dropped(), 9_999);

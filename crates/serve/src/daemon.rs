@@ -1456,12 +1456,12 @@ fn run_job(
     match journal::status(&journal_dir) {
         JournalStatus::Absent => {
             opts.crash = spec.crash_at();
-            journal::publish_journaled_opts(
+            journal::publish_journaled(
                 &table, &taxonomies, config, spec.policy, spec.seed, &journal_dir, &out, &opts,
             )
             .map(|run| run.release_digest)
         }
-        JournalStatus::Interrupted => journal::resume_opts(
+        JournalStatus::Interrupted => journal::resume(
             &table, &taxonomies, config, spec.policy, spec.seed, &journal_dir, &out, &opts,
         )
         .map(|run| run.release_digest),

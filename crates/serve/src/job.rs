@@ -156,23 +156,6 @@ fn as_u64(v: &Json) -> Result<u64, &'static str> {
     Ok(n as u64)
 }
 
-fn parse_algorithm(s: &str) -> Result<Phase2Algorithm, &'static str> {
-    match s {
-        "mondrian" => Ok(Phase2Algorithm::Mondrian),
-        "tds" => Ok(Phase2Algorithm::Tds),
-        "full-domain" | "full_domain" => Ok(Phase2Algorithm::FullDomain),
-        _ => Err("unknown algorithm"),
-    }
-}
-
-fn parse_policy(s: &str) -> Result<DegradationPolicy, &'static str> {
-    match s {
-        "abort" => Ok(DegradationPolicy::Abort),
-        "skip" | "skip_and_report" => Ok(DegradationPolicy::SkipAndReport),
-        _ => Err("unknown policy"),
-    }
-}
-
 fn parse_fault(s: &str) -> Result<FaultKind, &'static str> {
     FaultKind::ALL
         .iter()
@@ -302,11 +285,12 @@ impl JobSpec {
                 }
                 "seed" => seed = Some(as_u64(value)?),
                 "algorithm" => {
-                    algorithm =
-                        parse_algorithm(value.as_str().ok_or("algorithm must be a string")?)?;
+                    let name = value.as_str().ok_or("algorithm must be a string")?;
+                    algorithm = name.parse().map_err(|_| "unknown algorithm")?;
                 }
                 "policy" => {
-                    policy = parse_policy(value.as_str().ok_or("policy must be a string")?)?;
+                    let name = value.as_str().ok_or("policy must be a string")?;
+                    policy = name.parse().map_err(|_| "unknown policy")?;
                 }
                 "deadline_ms" => {
                     let n = as_u64(value)?;
@@ -482,8 +466,8 @@ impl JobSpec {
                 }
                 "k" => k = Some(value.parse().map_err(|_| "bad k")?),
                 "seed" => seed = Some(value.parse().map_err(|_| "bad seed")?),
-                "algorithm" => algorithm = parse_algorithm(value)?,
-                "policy" => policy = parse_policy(value)?,
+                "algorithm" => algorithm = value.parse().map_err(|_| "unknown algorithm")?,
+                "policy" => policy = value.parse().map_err(|_| "unknown policy")?,
                 "deadline_ms" => {
                     deadline_ms = Some(value.parse().map_err(|_| "bad deadline_ms")?)
                 }

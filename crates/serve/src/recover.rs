@@ -212,6 +212,7 @@ mod tests {
             7,
             &dir.join(spool::JOURNAL),
             &dir.join(spool::OUTPUT),
+            &journal::RunOptions::default(),
         )
         .unwrap();
         dir

@@ -43,7 +43,7 @@ fn baseline_for(body: &str, scratch: &str) -> (u64, Vec<u8>) {
         plan: plan.as_ref(),
         ..RunOptions::default()
     };
-    let run = journal::publish_journaled_opts(
+    let run = journal::publish_journaled(
         &table, &taxonomies, config, spec.policy, spec.seed, &journal_dir, &out, &opts,
     )
     .expect("baseline run completes");

@@ -18,8 +18,8 @@
 //! bookkeeping entry.
 
 use acpp::core::journal::{
-    publish_deterministic, publish_journaled_with_crash, read_state, resume, status, CrashPoint,
-    JournalStatus,
+    publish_deterministic, publish_journaled, read_state, resume, status, CrashPoint,
+    JournalStatus, JournaledRun, RunOptions,
 };
 use acpp::core::{AcppError, DegradationPolicy, PgConfig, Threads};
 use acpp::data::atomic::{CommitRecovery, RetryPolicy};
@@ -35,6 +35,23 @@ use std::path::{Path, PathBuf};
 
 fn world(rows: usize) -> (Table, Vec<Taxonomy>) {
     (sal::generate(SalConfig { rows, seed: 99 }), sal::qi_taxonomies())
+}
+
+/// Options that kill a single-threaded journaled run at `point`.
+fn crash_at(point: CrashPoint) -> RunOptions<'static> {
+    RunOptions { threads: Threads::Fixed(1), crash: Some(point), ..RunOptions::default() }
+}
+
+/// Resumes the journal in `dir` under `Abort` with default options.
+fn resume_abort(
+    table: &Table,
+    taxes: &[Taxonomy],
+    cfg: PgConfig,
+    seed: u64,
+    dir: &Path,
+    out: &Path,
+) -> Result<JournaledRun, AcppError> {
+    resume(table, taxes, cfg, DegradationPolicy::Abort, seed, dir, out, &RunOptions::default())
 }
 
 fn fresh_dir(name: &str) -> PathBuf {
@@ -61,7 +78,7 @@ fn drill(table: &Table, taxes: &[Taxonomy], cfg: PgConfig, seed: u64, point: Cra
     let out = dir.join("dstar.csv");
     let expected = baseline_bytes(table, taxes, cfg, seed);
 
-    let err = publish_journaled_with_crash(
+    let err = publish_journaled(
         table,
         taxes,
         cfg,
@@ -69,8 +86,7 @@ fn drill(table: &Table, taxes: &[Taxonomy], cfg: PgConfig, seed: u64, point: Cra
         seed,
         dir,
         &out,
-        Threads::Fixed(1),
-        Some(point),
+        &crash_at(point),
     )
     .unwrap_err();
     assert!(matches!(err, AcppError::Journal(_)), "{point}: {err}");
@@ -85,7 +101,7 @@ fn drill(table: &Table, taxes: &[Taxonomy], cfg: PgConfig, seed: u64, point: Cra
 
     // Invariant 2: resume finishes the run byte-identically, twice.
     for round in 0..2 {
-        let run = resume(table, taxes, cfg, DegradationPolicy::Abort, seed, dir, &out)
+        let run = resume_abort(table, taxes, cfg, seed, dir, &out)
             .unwrap_or_else(|e| panic!("{point} resume round {round}: {e}"));
         assert!(run.resumed);
         assert_eq!(fs::read(&out).unwrap(), expected, "{point} round {round}");
@@ -112,10 +128,15 @@ fn torn_journal_tail_is_discarded_and_resume_completes() {
     let out = dir.join("dstar.csv");
     let expected = baseline_bytes(&table, &taxes, cfg, 11);
 
-    let _ = publish_journaled_with_crash(
-        &table, &taxes, cfg, DegradationPolicy::Abort, 11, &dir, &out,
-        Threads::Fixed(1),
-        Some(CrashPoint::AfterPerturb),
+    let _ = publish_journaled(
+        &table,
+        &taxes,
+        cfg,
+        DegradationPolicy::Abort,
+        11,
+        &dir,
+        &out,
+        &crash_at(CrashPoint::AfterPerturb),
     )
     .unwrap_err();
     // A crash mid-append leaves a partial record with no trailing newline.
@@ -128,7 +149,7 @@ fn torn_journal_tail_is_discarded_and_resume_completes() {
     assert!(state.torn_tail, "the torn record must be detected");
     assert_eq!(state.phase_digests.len(), 2, "ingest + perturbation survive");
 
-    let run = resume(&table, &taxes, cfg, DegradationPolicy::Abort, 11, &dir, &out).unwrap();
+    let run = resume_abort(&table, &taxes, cfg, 11, &dir, &out).unwrap();
     assert_eq!(run.checkpoints_reused, 2);
     assert_eq!(fs::read(&out).unwrap(), expected);
 }
@@ -139,10 +160,15 @@ fn interior_journal_corruption_is_a_hard_error() {
     let cfg = PgConfig::new(0.3, 4).unwrap();
     let dir = fresh_dir("interior-corruption");
     let out = dir.join("dstar.csv");
-    let _ = publish_journaled_with_crash(
-        &table, &taxes, cfg, DegradationPolicy::Abort, 13, &dir, &out,
-        Threads::Fixed(1),
-        Some(CrashPoint::AfterSample),
+    let _ = publish_journaled(
+        &table,
+        &taxes,
+        cfg,
+        DegradationPolicy::Abort,
+        13,
+        &dir,
+        &out,
+        &crash_at(CrashPoint::AfterSample),
     )
     .unwrap_err();
     // Flip one byte inside the *first* record: not a torn tail, so recovery
@@ -152,7 +178,7 @@ fn interior_journal_corruption_is_a_hard_error() {
     bytes[10] ^= 0x01;
     fs::write(&journal, &bytes).unwrap();
     let err =
-        resume(&table, &taxes, cfg, DegradationPolicy::Abort, 13, &dir, &out).unwrap_err();
+        resume_abort(&table, &taxes, cfg, 13, &dir, &out).unwrap_err();
     assert!(matches!(err, AcppError::Journal(_)), "{err}");
 }
 
@@ -162,15 +188,20 @@ fn tampered_input_is_refused_on_resume() {
     let cfg = PgConfig::new(0.3, 4).unwrap();
     let dir = fresh_dir("tampered-input");
     let out = dir.join("dstar.csv");
-    let _ = publish_journaled_with_crash(
-        &table, &taxes, cfg, DegradationPolicy::Abort, 17, &dir, &out,
-        Threads::Fixed(1),
-        Some(CrashPoint::AfterGeneralize),
+    let _ = publish_journaled(
+        &table,
+        &taxes,
+        cfg,
+        DegradationPolicy::Abort,
+        17,
+        &dir,
+        &out,
+        &crash_at(CrashPoint::AfterGeneralize),
     )
     .unwrap_err();
     let tampered = sal::generate(SalConfig { rows: 300, seed: 100 });
     let err =
-        resume(&tampered, &taxes, cfg, DegradationPolicy::Abort, 17, &dir, &out).unwrap_err();
+        resume_abort(&tampered, &taxes, cfg, 17, &dir, &out).unwrap_err();
     assert!(err.to_string().contains("fingerprint"), "{err}");
 }
 
@@ -227,16 +258,22 @@ proptest! {
         let out = dir.join("dstar.csv");
         let expected = baseline_bytes(&table, &taxes, cfg, seed);
 
-        let err = publish_journaled_with_crash(
-            &table, &taxes, cfg, DegradationPolicy::Abort, seed, &dir, &out,
-            Threads::Fixed(1), Some(point),
+        let err = publish_journaled(
+            &table,
+            &taxes,
+            cfg,
+            DegradationPolicy::Abort,
+            seed,
+            &dir,
+            &out,
+            &crash_at(point),
         ).unwrap_err();
         prop_assert_eq!(err.exit_code(), 10);
         match fs::read(&out) {
             Ok(bytes) => prop_assert_eq!(bytes, expected.clone()),
             Err(e) => prop_assert_eq!(e.kind(), std::io::ErrorKind::NotFound),
         }
-        let run = resume(&table, &taxes, cfg, DegradationPolicy::Abort, seed, &dir, &out)
+        let run = resume_abort(&table, &taxes, cfg, seed, &dir, &out)
             .unwrap();
         prop_assert!(run.resumed);
         prop_assert_eq!(fs::read(&out).unwrap(), expected);

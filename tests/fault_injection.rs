@@ -1,16 +1,18 @@
 //! End-to-end fault injection against the hardened pipeline.
 //!
-//! Every fault kind is injected through [`publish_robust`] under both
+//! Every fault kind is injected through [`publish_robust_observed`] under both
 //! degradation policies. The contract under test: each run ends in exactly
 //! one of two states — a typed [`AcppError`] with nothing published, or a
 //! complete release whose [`PipelineReport`] accounts for every degraded
 //! unit. No panic, no partial table.
 
 use acpp::core::{
-    publish, publish_robust, AcppError, DegradationPolicy, FaultKind, FaultPlan, PgConfig, Phase,
+    publish, publish_robust_observed, AcppError, DegradationPolicy, FaultKind, FaultPlan, PgConfig,
+    Phase, Threads,
 };
 use acpp::data::sal::{self, SalConfig};
 use acpp::data::Taxonomy;
+use acpp::obs::Telemetry;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -35,13 +37,15 @@ fn every_fault_kind_aborts_with_a_typed_error_under_abort() {
     let cfg = PgConfig::new(0.3, 4).unwrap();
     for kind in FaultKind::ALL {
         let plan = FaultPlan::new(5).with(kind);
-        let result = publish_robust(
+        let result = publish_robust_observed(
             &table,
             &taxes,
             cfg,
             DegradationPolicy::Abort,
             Some(&plan),
+            Threads::Fixed(1),
             &mut StdRng::seed_from_u64(1),
+            &Telemetry::disabled(),
         );
         // SlowIo is a latency fault, not a correctness fault: the run
         // completes (slowly) with the stall noted in the report.
@@ -71,13 +75,15 @@ fn skippable_faults_degrade_into_an_accounted_release() {
     let cfg = PgConfig::new(0.3, 4).unwrap();
     for kind in SKIPPABLE {
         let plan = FaultPlan::new(5).with(kind);
-        let (dstar, report) = publish_robust(
+        let (dstar, report) = publish_robust_observed(
             &table,
             &taxes,
             cfg,
             DegradationPolicy::SkipAndReport,
             Some(&plan),
+            Threads::Fixed(1),
             &mut StdRng::seed_from_u64(1),
+            &Telemetry::disabled(),
         )
         .unwrap_or_else(|e| panic!("{kind:?} must degrade, got {e}"));
         // The release is complete and lawful.
@@ -103,13 +109,15 @@ fn all_skippable_faults_at_once_still_produce_a_lawful_release() {
     for kind in SKIPPABLE {
         plan = plan.with(kind);
     }
-    let (dstar, report) = publish_robust(
+    let (dstar, report) = publish_robust_observed(
         &table,
         &taxes,
         cfg,
         DegradationPolicy::SkipAndReport,
         Some(&plan),
+        Threads::Fixed(1),
         &mut StdRng::seed_from_u64(2),
+        &Telemetry::disabled(),
     )
     .unwrap();
     assert!(!dstar.is_empty());
@@ -134,13 +142,15 @@ fn fault_runs_are_deterministic_under_a_fixed_seed() {
         plan = plan.with(kind);
     }
     let run = |rng_seed: u64| {
-        publish_robust(
+        publish_robust_observed(
             &table,
             &taxes,
             cfg,
             DegradationPolicy::SkipAndReport,
             Some(&plan),
+            Threads::Fixed(1),
             &mut StdRng::seed_from_u64(rng_seed),
+            &Telemetry::disabled(),
         )
         .unwrap()
     };
@@ -162,13 +172,15 @@ fn taxonomy_fault_never_publishes_under_either_policy() {
     let cfg = PgConfig::new(0.3, 4).unwrap();
     let plan = FaultPlan::new(3).with(FaultKind::InconsistentTaxonomy);
     for policy in [DegradationPolicy::Abort, DegradationPolicy::SkipAndReport] {
-        let err = publish_robust(
+        let err = publish_robust_observed(
             &table,
             &taxes,
             cfg,
             policy,
             Some(&plan),
+            Threads::Fixed(1),
             &mut StdRng::seed_from_u64(3),
+            &Telemetry::disabled(),
         )
         .unwrap_err();
         assert!(
@@ -184,13 +196,15 @@ fn no_injection_reduces_to_the_plain_pipeline() {
     let cfg = PgConfig::new(0.4, 5).unwrap();
     let baseline = publish(&table, &taxes, cfg, &mut StdRng::seed_from_u64(4)).unwrap();
     for policy in [DegradationPolicy::Abort, DegradationPolicy::SkipAndReport] {
-        let (dstar, report) = publish_robust(
+        let (dstar, report) = publish_robust_observed(
             &table,
             &taxes,
             cfg,
             policy,
             None,
+            Threads::Fixed(1),
             &mut StdRng::seed_from_u64(4),
+            &Telemetry::disabled(),
         )
         .unwrap();
         assert_eq!(dstar, baseline, "{policy:?}");
@@ -205,26 +219,30 @@ fn validation_rejects_bad_requests_before_any_phase_runs() {
     let (table, taxes) = world(100);
     // p outside (0, 1] is a validation error (exit code 2), not a fault.
     let cfg = acpp::core::PgConfig { p: 0.0, k: 4, algorithm: Default::default() };
-    let err = publish_robust(
+    let err = publish_robust_observed(
         &table,
         &taxes,
         cfg,
         DegradationPolicy::Abort,
         None,
+        Threads::Fixed(1),
         &mut StdRng::seed_from_u64(5),
+        &Telemetry::disabled(),
     )
     .unwrap_err();
     assert!(matches!(err, AcppError::Validation(_)));
     assert_eq!(err.exit_code(), 2);
     // Mismatched taxonomies are caught by the same gate.
     let cfg = PgConfig::new(0.3, 4).unwrap();
-    let err = publish_robust(
+    let err = publish_robust_observed(
         &table,
         &taxes[..taxes.len() - 1],
         cfg,
         DegradationPolicy::Abort,
         None,
+        Threads::Fixed(1),
         &mut StdRng::seed_from_u64(5),
+        &Telemetry::disabled(),
     )
     .unwrap_err();
     assert!(matches!(err, AcppError::Validation(_)));

@@ -8,13 +8,12 @@
 //! the deferred subtree stage, and the sharded assignment read-off — all
 //! of which must reproduce the sequential recursion bit-for-bit.
 
-use acpp::core::journal::{publish_journaled_with_crash, read_state, resume_observed, CrashPoint};
+use acpp::core::journal::{publish_journaled, read_state, resume, CrashPoint, RunOptions};
 use acpp::core::{DegradationPolicy, PgConfig, Threads};
 use acpp::data::sal::{self, SalConfig};
 use acpp::generalize::mondrian::{partition_with_assignment, MondrianConfig};
 use acpp::generalize::scheme::{group_from_box_assignment, group_from_box_assignment_threaded};
 use acpp::generalize::Recoding;
-use acpp::obs::Telemetry;
 use proptest::prelude::*;
 use std::fs;
 use std::path::PathBuf;
@@ -115,9 +114,15 @@ proptest! {
 
         let ref_dir = fresh_dir(&format!("ref-{seed}-{rows}-{world_seed}"));
         let ref_out = ref_dir.join("dstar.csv");
-        let reference = publish_journaled_with_crash(
-            &table, &taxes, cfg, DegradationPolicy::Abort, seed, &ref_dir, &ref_out,
-            Threads::Fixed(1), None,
+        let reference = publish_journaled(
+            &table,
+            &taxes,
+            cfg,
+            DegradationPolicy::Abort,
+            seed,
+            &ref_dir,
+            &ref_out,
+            &RunOptions { threads: Threads::Fixed(1), ..RunOptions::default() },
         ).unwrap();
         let ref_fp = read_state(&ref_dir).unwrap().fingerprint.unwrap();
         let ref_bytes = fs::read(&ref_out).unwrap();
@@ -127,13 +132,29 @@ proptest! {
         // sequential cut sequence exactly.
         let dir = fresh_dir(&format!("crash-{seed}-{rows}-{world_seed}-{t_resume}"));
         let out = dir.join("dstar.csv");
-        publish_journaled_with_crash(
-            &table, &taxes, cfg, DegradationPolicy::Abort, seed, &dir, &out,
-            Threads::Fixed(1), Some(CrashPoint::AfterPerturb),
+        publish_journaled(
+            &table,
+            &taxes,
+            cfg,
+            DegradationPolicy::Abort,
+            seed,
+            &dir,
+            &out,
+            &RunOptions {
+                threads: Threads::Fixed(1),
+                crash: Some(CrashPoint::AfterPerturb),
+                ..RunOptions::default()
+            },
         ).expect_err("injected crash must abort");
-        let run = resume_observed(
-            &table, &taxes, cfg, DegradationPolicy::Abort, seed, &dir, &out,
-            Threads::Fixed(t_resume), &Telemetry::disabled(),
+        let run = resume(
+            &table,
+            &taxes,
+            cfg,
+            DegradationPolicy::Abort,
+            seed,
+            &dir,
+            &out,
+            &RunOptions { threads: Threads::Fixed(t_resume), ..RunOptions::default() },
         ).unwrap();
 
         prop_assert!(run.resumed);

@@ -4,10 +4,10 @@
 //! substreams, so a run at 8 threads, a run at 1, and a crash-plus-resume
 //! that switches counts mid-run must all be bit-identical.
 
-use acpp::core::journal::{publish_journaled_with_crash, read_state, resume_observed, CrashPoint};
+use acpp::core::journal::{publish_journaled, read_state, resume, CrashPoint, RunOptions};
 use acpp::core::{
-    publish_robust_threaded, publish_threaded, DegradationPolicy, FaultKind, FaultPlan, PgConfig,
-    Threads,
+    publish_robust_observed, publish_with_trace, DegradationPolicy, FaultKind, FaultPlan, PgConfig,
+    Phase, Threads, CHUNK_ROWS,
 };
 use acpp::data::sal::{self, SalConfig};
 use acpp::data::Taxonomy;
@@ -36,8 +36,8 @@ fn fresh_dir(name: &str) -> PathBuf {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// `publish_threaded` at every pool size agrees bit-for-bit with the
-    /// single-threaded legacy path, for arbitrary tables, seeds, and
+    /// The pipeline at every pool size agrees bit-for-bit with the
+    /// single-threaded run, for arbitrary tables, seeds, and
     /// configurations.
     #[test]
     fn publish_is_thread_count_invariant(
@@ -50,17 +50,38 @@ proptest! {
         let p = [0.2, 0.5, 0.8][p_ix];
         let (table, taxes) = world(rows, world_seed);
         let cfg = PgConfig::new(p, k).unwrap();
-        let baseline = publish_threaded(
-            &table, &taxes, cfg, Threads::Fixed(1), &mut StdRng::seed_from_u64(seed),
+        let baseline = publish_robust_observed(
+            &table,
+            &taxes,
+            cfg,
+            DegradationPolicy::Abort,
+            None,
+            Threads::Fixed(1),
+            &mut StdRng::seed_from_u64(seed),
+            &Telemetry::disabled(),
         ).unwrap();
         for t in THREAD_COUNTS {
-            let run = publish_threaded(
-                &table, &taxes, cfg, Threads::Fixed(t), &mut StdRng::seed_from_u64(seed),
+            let run = publish_robust_observed(
+                &table,
+                &taxes,
+                cfg,
+                DegradationPolicy::Abort,
+                None,
+                Threads::Fixed(t),
+                &mut StdRng::seed_from_u64(seed),
+                &Telemetry::disabled(),
             ).unwrap();
             prop_assert_eq!(&baseline, &run);
         }
-        let auto = publish_threaded(
-            &table, &taxes, cfg, Threads::Auto, &mut StdRng::seed_from_u64(seed),
+        let auto = publish_robust_observed(
+            &table,
+            &taxes,
+            cfg,
+            DegradationPolicy::Abort,
+            None,
+            Threads::Auto,
+            &mut StdRng::seed_from_u64(seed),
+            &Telemetry::disabled(),
         ).unwrap();
         prop_assert_eq!(&baseline, &auto);
     }
@@ -85,14 +106,26 @@ proptest! {
         let plan = FaultPlan::new(fault_seed).with(kinds[kind_ix]);
         let (table, taxes) = world(rows, world_seed);
         let cfg = PgConfig::new(0.3, 4).unwrap();
-        let (base_dstar, base_report) = publish_robust_threaded(
-            &table, &taxes, cfg, DegradationPolicy::SkipAndReport, Some(&plan),
-            Threads::Fixed(1), &mut StdRng::seed_from_u64(seed),
+        let (base_dstar, base_report) = publish_robust_observed(
+            &table,
+            &taxes,
+            cfg,
+            DegradationPolicy::SkipAndReport,
+            Some(&plan),
+            Threads::Fixed(1),
+            &mut StdRng::seed_from_u64(seed),
+            &Telemetry::disabled(),
         ).unwrap();
         for t in THREAD_COUNTS {
-            let (dstar, report) = publish_robust_threaded(
-                &table, &taxes, cfg, DegradationPolicy::SkipAndReport, Some(&plan),
-                Threads::Fixed(t), &mut StdRng::seed_from_u64(seed),
+            let (dstar, report) = publish_robust_observed(
+                &table,
+                &taxes,
+                cfg,
+                DegradationPolicy::SkipAndReport,
+                Some(&plan),
+                Threads::Fixed(t),
+                &mut StdRng::seed_from_u64(seed),
+                &Telemetry::disabled(),
             ).unwrap();
             prop_assert_eq!(&base_dstar, &dstar);
             prop_assert_eq!(&base_report, &report);
@@ -129,9 +162,15 @@ proptest! {
         // Reference: an uninterrupted single-threaded journaled run.
         let ref_dir = fresh_dir(&format!("ref-{seed}-{rows}-{world_seed}-{crash_ix}"));
         let ref_out = ref_dir.join("dstar.csv");
-        let reference = publish_journaled_with_crash(
-            &table, &taxes, cfg, DegradationPolicy::Abort, seed, &ref_dir, &ref_out,
-            Threads::Fixed(1), None,
+        let reference = publish_journaled(
+            &table,
+            &taxes,
+            cfg,
+            DegradationPolicy::Abort,
+            seed,
+            &ref_dir,
+            &ref_out,
+            &RunOptions { threads: Threads::Fixed(1), ..RunOptions::default() },
         ).unwrap();
         let ref_fp = read_state(&ref_dir).unwrap().fingerprint.unwrap();
         let ref_bytes = fs::read(&ref_out).unwrap();
@@ -141,13 +180,29 @@ proptest! {
             "crash-{seed}-{rows}-{world_seed}-{crash_ix}-{t_first}-{t_resume}"
         ));
         let out = dir.join("dstar.csv");
-        publish_journaled_with_crash(
-            &table, &taxes, cfg, DegradationPolicy::Abort, seed, &dir, &out,
-            Threads::Fixed(t_first), Some(crash),
+        publish_journaled(
+            &table,
+            &taxes,
+            cfg,
+            DegradationPolicy::Abort,
+            seed,
+            &dir,
+            &out,
+            &RunOptions {
+                threads: Threads::Fixed(t_first),
+                crash: Some(crash),
+                ..RunOptions::default()
+            },
         ).expect_err("injected crash must abort");
-        let run = resume_observed(
-            &table, &taxes, cfg, DegradationPolicy::Abort, seed, &dir, &out,
-            Threads::Fixed(t_resume), &Telemetry::disabled(),
+        let run = resume(
+            &table,
+            &taxes,
+            cfg,
+            DegradationPolicy::Abort,
+            seed,
+            &dir,
+            &out,
+            &RunOptions { threads: Threads::Fixed(t_resume), ..RunOptions::default() },
         ).unwrap();
 
         prop_assert!(run.resumed);
@@ -157,5 +212,41 @@ proptest! {
         let fp = read_state(&dir).unwrap().fingerprint.unwrap();
         prop_assert_eq!(ref_fp, fp);
         prop_assert_eq!(ref_bytes, fs::read(&out).unwrap());
+    }
+}
+
+/// Phase 3 sharded over several chunks of groups while the fault harness
+/// breaks draws: the release, the report, the abort error (which names the
+/// lowest faulty group) and the traced sample are the same at every thread
+/// count. The proptests above stay within one chunk of groups.
+#[test]
+fn multi_chunk_sampling_under_faults_is_thread_count_invariant() {
+    let (table, taxes) = world(40_000, 5);
+    let cfg = PgConfig::new(0.3, 2).unwrap();
+    let kind = FaultKind::SampleIndexOutOfRange;
+    let plan = FaultPlan::new(17).with(kind).with_intensity(6);
+    let run = |policy, threads| {
+        let rng = &mut StdRng::seed_from_u64(3);
+        let telemetry = Telemetry::disabled();
+        publish_robust_observed(&table, &taxes, cfg, policy, Some(&plan), threads, rng, &telemetry)
+    };
+    let trace = |threads| {
+        let rng = &mut StdRng::seed_from_u64(3);
+        publish_with_trace(&table, &taxes, cfg, threads, rng).unwrap().1.sampled_rows
+    };
+    let skipped = run(DegradationPolicy::SkipAndReport, Threads::Fixed(1)).unwrap();
+    let groups = skipped.0.len();
+    assert!(groups > 2 * CHUNK_ROWS, "{groups} groups");
+    let faulty = plan.pick_units(kind, groups);
+    let chunks: std::collections::BTreeSet<usize> = faulty.iter().map(|g| g / CHUNK_ROWS).collect();
+    assert!(chunks.len() > 1, "faults land in more than one chunk: {faulty:?}");
+    assert_eq!(skipped.1.phase(Phase::Sample).faults_survived, faulty.len());
+    let aborted = run(DegradationPolicy::Abort, Threads::Fixed(1)).unwrap_err();
+    assert!(aborted.to_string().contains(&format!("of group {} ", faulty[0])), "{aborted}");
+    let sampled_rows = trace(Threads::Fixed(1));
+    for t in [2, 8] {
+        assert_eq!(run(DegradationPolicy::SkipAndReport, Threads::Fixed(t)).unwrap(), skipped);
+        assert_eq!(run(DegradationPolicy::Abort, Threads::Fixed(t)).unwrap_err(), aborted);
+        assert_eq!(trace(Threads::Fixed(t)), sampled_rows, "threads={t}");
     }
 }

@@ -1,7 +1,7 @@
 //! End-to-end pipeline invariants across crates: the three PG phases on
 //! census-shaped data, with every Phase-2 algorithm.
 
-use acpp::core::{publish_with_trace, Phase2Algorithm, PgConfig};
+use acpp::core::{publish_with_trace, Phase2Algorithm, PgConfig, Threads};
 use acpp::data::sal::{self, SalConfig};
 use acpp::data::{csv, OwnerId};
 use acpp::generalize::principles::is_k_anonymous;
@@ -17,7 +17,7 @@ fn full_pipeline_invariants_hold_for_every_algorithm() {
             let cfg = PgConfig::new(0.3, k).unwrap().with_algorithm(alg);
             let mut rng = StdRng::seed_from_u64(5);
             let (dstar, trace) =
-                publish_with_trace(&table, &taxonomies, cfg, &mut rng).unwrap();
+                publish_with_trace(&table, &taxonomies, cfg, Threads::Auto, &mut rng).unwrap();
 
             // Cardinality (Section II-A): |D*| <= |D| / k.
             assert!(dstar.len() <= table.len() / k, "{alg:?} k={k}");
@@ -64,7 +64,8 @@ fn published_sensitive_values_follow_the_channel_statistics() {
     let mut total = 0usize;
     for seed in 0..8u64 {
         let mut rng = StdRng::seed_from_u64(seed);
-        let (dstar, trace) = publish_with_trace(&table, &taxonomies, cfg, &mut rng).unwrap();
+        let (dstar, trace) =
+            publish_with_trace(&table, &taxonomies, cfg, Threads::Auto, &mut rng).unwrap();
         for (i, tup) in dstar.tuples().iter().enumerate() {
             let row = trace.sampled_rows[i];
             total += 1;

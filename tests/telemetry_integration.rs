@@ -7,9 +7,9 @@
 //! Metrics are process-global and cumulative, so every assertion on them
 //! is a delta between two snapshots taken inside the same test.
 
-use acpp::core::journal::publish_journaled_with_crash;
+use acpp::core::journal::{publish_journaled, resume, RunOptions};
 use acpp::core::{
-    publish_journaled_observed, publish_robust_observed, record_guarantee_surface, resume_observed,
+    publish_robust_observed, record_guarantee_surface,
     Threads,
     CrashPoint, DegradationPolicy, FaultKind, FaultPlan, PgConfig,
 };
@@ -54,7 +54,7 @@ fn journaled_publish_trace_covers_phases_journal_and_commit() {
 
     let telemetry = Telemetry::enabled();
     let before = acpp::obs::metrics().snapshot();
-    let run = publish_journaled_observed(
+    let run = publish_journaled(
         &table,
         &taxes,
         cfg,
@@ -62,8 +62,11 @@ fn journaled_publish_trace_covers_phases_journal_and_commit() {
         7,
         &dir,
         &out,
-        Threads::Fixed(1),
-        &telemetry,
+        &RunOptions {
+            threads: Threads::Fixed(1),
+            telemetry: Some(&telemetry),
+            ..RunOptions::default()
+        },
     )
     .expect("journaled publish succeeds");
     record_guarantee_surface(&run.published, 0.1);
@@ -168,7 +171,7 @@ fn resume_trace_covers_recovery() {
     let dir = fresh_dir("resume-run");
     let out = dir.join("dstar.csv");
 
-    publish_journaled_with_crash(
+    publish_journaled(
         &table,
         &taxes,
         cfg,
@@ -176,14 +179,17 @@ fn resume_trace_covers_recovery() {
         11,
         &dir,
         &out,
-        Threads::Fixed(1),
-        Some(CrashPoint::AfterGeneralize),
+        &RunOptions {
+            threads: Threads::Fixed(1),
+            crash: Some(CrashPoint::AfterGeneralize),
+            ..RunOptions::default()
+        },
     )
     .expect_err("injected crash must abort the run");
 
     let telemetry = Telemetry::enabled();
     let before = acpp::obs::metrics().snapshot();
-    let run = resume_observed(
+    let run = resume(
         &table,
         &taxes,
         cfg,
@@ -191,8 +197,11 @@ fn resume_trace_covers_recovery() {
         11,
         &dir,
         &out,
-        Threads::Fixed(1),
-        &telemetry,
+        &RunOptions {
+            threads: Threads::Fixed(1),
+            telemetry: Some(&telemetry),
+            ..RunOptions::default()
+        },
     )
     .expect("resume completes the run");
     assert!(run.checkpoints_reused > 0);

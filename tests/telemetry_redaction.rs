@@ -194,10 +194,12 @@ fn profile_report_carries_no_sensitive_values() {
     let telemetry = Telemetry::enabled();
     let prof = acpp::obs::profiler();
     prof.begin();
-    let dstar = acpp::core::publish_observed(
+    let (dstar, _) = acpp::core::publish_robust_observed(
         &table,
         &taxes,
         cfg,
+        DegradationPolicy::Abort,
+        None,
         Threads::Fixed(2),
         &mut StdRng::seed_from_u64(9),
         &telemetry,
