@@ -290,11 +290,14 @@ impl<'a> Run<'a> {
     }
 }
 
-/// Checkpoint digest of a table: FNV-1a over its owner-tagged CSV form.
-fn digest_table(table: &Table) -> u64 {
-    acpp_data::csv::to_string(table, true)
-        .map(|s| acpp_data::fnv1a(s.as_bytes()))
-        .unwrap_or(0)
+/// Checkpoint digest of a table: FNV-1a over its owner-tagged CSV form,
+/// streamed into the hasher rather than built first.
+pub(crate) fn digest_table(table: &Table) -> u64 {
+    let mut hasher = acpp_data::digest::Fnv1a::new();
+    match acpp_data::csv::write_table(table, &mut hasher, true) {
+        Ok(()) => hasher.finish(),
+        Err(_) => 0,
+    }
 }
 
 /// Checkpoint digest of the Phase-1 artifact: the perturbed sensitive code

@@ -12,7 +12,7 @@ const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 /// FNV-1a 64-bit prime.
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 
-/// A streaming FNV-1a 64-bit hasher.
+/// A streaming FNV-1a 64-bit hasher: the repo's one FNV implementation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Fnv1a(u64);
 
@@ -45,6 +45,30 @@ impl Fnv1a {
     /// The current digest value.
     pub fn finish(&self) -> u64 {
         self.0
+    }
+}
+
+/// `Hasher` lets `Fnv1a` key hash maps (`BuildHasherDefault<Fnv1a>`).
+impl std::hash::Hasher for Fnv1a {
+    fn write(&mut self, bytes: &[u8]) {
+        self.update(bytes);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+/// `io::Write` lets a writer stream into the digest instead of building
+/// the bytes first.
+impl std::io::Write for Fnv1a {
+    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+        self.update(buf);
+        Ok(buf.len())
+    }
+
+    fn flush(&mut self) -> std::io::Result<()> {
+        Ok(())
     }
 }
 

@@ -214,8 +214,7 @@ impl Recoding {
     }
 
     /// Human-readable label of the generalized value at `qi_pos` for a
-    /// region, using domain labels for the endpoints (or the taxonomy node
-    /// label for cut recodings).
+    /// region. See [`Recoding::write_label`].
     pub fn label(
         &self,
         schema: &Schema,
@@ -223,10 +222,27 @@ impl Recoding {
         sig: &Signature,
         qi_pos: usize,
     ) -> String {
+        let mut out = String::new();
+        self.write_label(&mut out, schema, taxonomies, sig, qi_pos);
+        out
+    }
+
+    /// Appends the label of the generalized value at `qi_pos` for a region
+    /// to `out`, using domain labels for the endpoints (or the taxonomy node
+    /// label for cut recodings).
+    pub fn write_label(
+        &self,
+        out: &mut String,
+        schema: &Schema,
+        taxonomies: &[Taxonomy],
+        sig: &Signature,
+        qi_pos: usize,
+    ) {
         if let Recoding::Cuts(_) = self {
             let tax = &taxonomies[qi_pos];
             if tax.has_semantic_labels() {
-                return tax.node(acpp_data::NodeId(sig[qi_pos])).label.clone();
+                out.push_str(&tax.node(acpp_data::NodeId(sig[qi_pos])).label);
+                return;
             }
         }
         // Auto-generated taxonomy labels (and all box partitions) are code
@@ -234,11 +250,13 @@ impl Recoding {
         let (lo, hi) = self.interval(taxonomies, sig, qi_pos);
         let dom = schema.attribute(schema.qi_indices()[qi_pos]).domain();
         if lo == hi {
-            dom.label(Value(lo)).to_string()
+            out.push_str(dom.label(Value(lo)));
         } else if lo == 0 && hi == dom.size() - 1 {
-            "*".to_string()
+            out.push('*');
         } else {
-            format!("[{}..{}]", dom.label(Value(lo)), dom.label(Value(hi)))
+            for part in ["[", dom.label(Value(lo)), "..", dom.label(Value(hi)), "]"] {
+                out.push_str(part);
+            }
         }
     }
 

@@ -304,8 +304,9 @@ proptest! {
         seed in 0u64..500,
     ) {
         use rand::{Rng, SeedableRng};
-        // Labels exercise the quoting paths: commas, quotes, newlines.
-        let nasty = ["plain", "with,comma", "with\"quote", "multi\nline", "x"];
+        // Labels exercise the quoting paths: commas, quotes, newlines, and
+        // a CRLF inside quotes.
+        let nasty = ["plain", "with,comma", "with\"quote", "multi\nline", "x", "multi\r\nline"];
         let schema = Schema::new(vec![
             Attribute::quasi("N", Domain::nominal(nasty)),
             Attribute::quasi("A", Domain::int_range(-3, 6)),
@@ -315,7 +316,7 @@ proptest! {
         let mut table = Table::new(schema.clone());
         for i in 0..rows {
             table.push_row(OwnerId(i as u32 * 3 + 1), &[
-                Value(rng.gen_range(0..5)),
+                Value(rng.gen_range(0..nasty.len() as u32)),
                 Value(rng.gen_range(0..10)),
                 Value(rng.gen_range(0..7)),
             ]).unwrap();
