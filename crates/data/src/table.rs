@@ -107,6 +107,17 @@ impl Table {
         self.owners.push(owner);
     }
 
+    /// Appends the rows of `other`, a table over the same schema, to this
+    /// one, adding `owner_offset` to each of their owner ids (wrapping, as
+    /// the CSV reader's `as u32` row numbering does).
+    pub(crate) fn append(&mut self, other: &Table, owner_offset: u32) {
+        debug_assert_eq!(self.schema, other.schema);
+        for (col, src) in self.columns.iter_mut().zip(&other.columns) {
+            col.extend_from_slice(src);
+        }
+        self.owners.extend(other.owners.iter().map(|o| OwnerId(o.0.wrapping_add(owner_offset))));
+    }
+
     /// Value at (row, column).
     #[inline]
     pub fn value(&self, row: usize, col: usize) -> Value {
