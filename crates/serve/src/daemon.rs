@@ -1453,23 +1453,22 @@ fn run_job(
         fence,
     };
 
-    match journal::status(&journal_dir) {
-        JournalStatus::Absent => {
+    match recover::journal_status(&journal_dir) {
+        (JournalStatus::Absent, _) => {
             opts.crash = spec.crash_at();
             journal::publish_journaled(
                 &table, &taxonomies, config, spec.policy, spec.seed, &journal_dir, &out, &opts,
             )
             .map(|run| run.release_digest)
         }
-        JournalStatus::Interrupted => journal::resume(
+        (JournalStatus::Interrupted, _) => journal::resume(
             &table, &taxonomies, config, spec.policy, spec.seed, &journal_dir, &out, &opts,
         )
         .map(|run| run.release_digest),
-        JournalStatus::Complete => {
+        (JournalStatus::Complete, state) => {
             // Already committed (e.g. the crash hit between the rename and
             // the registry update): verify, don't re-run.
-            let state = journal::read_state(&journal_dir)?;
-            let (digest, _) = state.staged.ok_or_else(|| {
+            let (digest, _) = state.and_then(|state| state.staged).ok_or_else(|| {
                 AcppError::Journal("complete journal is missing its staged record".into())
             })?;
             let bytes = fs::read(&out).map_err(DataError::from)?;

@@ -20,7 +20,7 @@
 use std::fs;
 use std::path::{Path, PathBuf};
 
-use acpp_core::journal::{self, JournalStatus};
+use acpp_core::journal::{self, JournalState, JournalStatus};
 use acpp_core::AcppError;
 use acpp_data::fnv1a;
 use acpp_obs::metrics;
@@ -89,8 +89,9 @@ fn intern_code(content: &str) -> &'static str {
 pub fn scan(spool_dir: &Path) -> Result<Vec<Recovered>, AcppError> {
     let mut dirs: Vec<PathBuf> = fs::read_dir(spool_dir)
         .map_err(|e| AcppError::Service(format!("cannot scan spool: {e}")))?
-        .filter_map(|entry| entry.ok().map(|e| e.path()))
-        .filter(|path| path.is_dir())
+        .filter_map(|entry| entry.ok())
+        .filter(|entry| entry.file_type().is_ok_and(|t| t.is_dir()))
+        .map(|entry| entry.path())
         .collect();
     dirs.sort();
 
@@ -134,12 +135,9 @@ pub(crate) fn classify(
     if let Ok(code) = fs::read_to_string(dir.join(spool::FAILED)) {
         return (JobState::Failed, Some(intern_code(&code)), None, false, "kept_failed");
     }
-    let journal_dir = dir.join(spool::JOURNAL);
-    match journal::status(&journal_dir) {
-        JournalStatus::Complete => {
-            let staged = journal::read_state(&journal_dir)
-                .ok()
-                .and_then(|state| state.staged);
+    match journal_status(&dir.join(spool::JOURNAL)) {
+        (JournalStatus::Complete, state) => {
+            let staged = state.and_then(|state| state.staged);
             let on_disk = fs::read(dir.join(spool::OUTPUT)).ok();
             match (staged, on_disk) {
                 (Some((digest, _)), Some(bytes)) if fnv1a(&bytes) == digest => {
@@ -157,8 +155,22 @@ pub(crate) fn classify(
                 _ => (JobState::Failed, Some("journal"), None, false, "digest_mismatch"),
             }
         }
-        JournalStatus::Interrupted => (JobState::Queued, None, None, true, "resumed"),
-        JournalStatus::Absent => (JobState::Queued, None, None, true, "requeued"),
+        (JournalStatus::Interrupted, _) => (JobState::Queued, None, None, true, "resumed"),
+        (JournalStatus::Absent, _) => (JobState::Queued, None, None, true, "requeued"),
+    }
+}
+
+/// The verdict of [`journal::status`] on `journal_dir`, with the state it
+/// decoded. The journal is read once, and its presence is checked only when
+/// it does not read back.
+pub(crate) fn journal_status(journal_dir: &Path) -> (JournalStatus, Option<JournalState>) {
+    match journal::read_state(journal_dir) {
+        Ok(state) if state.done => (JournalStatus::Complete, Some(state)),
+        Ok(state) => (JournalStatus::Interrupted, Some(state)),
+        Err(_) if journal_dir.join(journal::JOURNAL_FILE).exists() => {
+            (JournalStatus::Interrupted, None)
+        }
+        Err(_) => (JournalStatus::Absent, None),
     }
 }
 
