@@ -9,8 +9,9 @@
 //! comparison isolates exactly the work the repair skips. The report's
 //! `sweep` section is machine-readable — one object per churn rate with
 //! `churn`, `repair_seconds`, `scratch_seconds`, `speedup`, and the
-//! repair's leaf statistics — which is what the CI delta gate and the
-//! EXPERIMENTS recipe consume.
+//! repair's leaf statistics (of `leaves_after` leaves, `carried_leaves`
+//! republish the previous release's tuples) — which is what the CI delta
+//! gate and the EXPERIMENTS recipe consume.
 //!
 //! Flags: `--rows N` (default 1 000 000; `ACPP_DELTA_ROWS` overrides the
 //! default for harnesses that cannot pass flags), `--seed S`, `--p P`
@@ -39,6 +40,7 @@ struct Point {
     merges: usize,
     gathered_rows: usize,
     leaves_after: usize,
+    carried_leaves: usize,
 }
 
 /// Builds an update batch touching a `churn` fraction of the table:
@@ -162,6 +164,7 @@ fn main() {
                     merges: stats.merges,
                     gathered_rows: stats.gathered_rows,
                     leaves_after: stats.leaves_after,
+                    carried_leaves: stats.carried_leaves,
                 }
             })
             .collect::<Vec<_>>()
@@ -184,7 +187,8 @@ fn main() {
             format!(
                 "{{\"churn\": {}, \"batch\": {}, \"repair_seconds\": {:.6}, \
                  \"scratch_seconds\": {:.6}, \"speedup\": {:.4}, \"dirty_leaves\": {}, \
-                 \"recuts\": {}, \"merges\": {}, \"gathered_rows\": {}, \"leaves_after\": {}}}",
+                 \"recuts\": {}, \"merges\": {}, \"gathered_rows\": {}, \"leaves_after\": {}, \
+                 \"carried_leaves\": {}}}",
                 pt.churn,
                 pt.batch,
                 pt.repair_seconds,
@@ -195,6 +199,7 @@ fn main() {
                 pt.merges,
                 pt.gathered_rows,
                 pt.leaves_after,
+                pt.carried_leaves,
             )
         })
         .collect::<Vec<_>>()

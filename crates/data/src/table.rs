@@ -217,15 +217,43 @@ impl Table {
 
     /// Checks the paper's standing assumption that all tuples have distinct
     /// owners.
+    ///
+    /// Runs in `O(n)` time and `O(n)` memory whatever the ids are: ids
+    /// below `64 · n` (the usual dense numbering) are marked in a bitmap
+    /// of at most `8n` bytes, and any other set of ids is radix-sorted
+    /// and scanned for a repeat.
     pub fn owners_distinct(&self) -> bool {
-        let mut seen = vec![false; self.owners.iter().map(|o| o.index() + 1).max().unwrap_or(0)];
-        for o in &self.owners {
-            if seen[o.index()] {
-                return false;
+        let n = self.owners.len();
+        let max = self.owners.iter().map(|o| o.0 as usize).max().unwrap_or(0);
+        if max < 64 * n {
+            let mut seen = vec![0u64; max / 64 + 1];
+            for o in &self.owners {
+                let (word, bit) = (o.index() / 64, 1u64 << (o.0 % 64));
+                if seen[word] & bit != 0 {
+                    return false;
+                }
+                seen[word] |= bit;
             }
-            seen[o.index()] = true;
+            return true;
         }
-        true
+        let mut ids: Vec<u32> = self.owners.iter().map(|o| o.0).collect();
+        let mut spare = vec![0u32; n];
+        for shift in [0, 8, 16, 24] {
+            let digit = |id: u32| ((id >> shift) & 0xff) as usize;
+            let mut starts = [0usize; 257];
+            for &id in &ids {
+                starts[digit(id) + 1] += 1;
+            }
+            for d in 0..256 {
+                starts[d + 1] += starts[d];
+            }
+            for &id in &ids {
+                spare[starts[digit(id)]] = id;
+                starts[digit(id)] += 1;
+            }
+            std::mem::swap(&mut ids, &mut spare);
+        }
+        ids.windows(2).all(|w| w[0] != w[1])
     }
 }
 
@@ -300,6 +328,17 @@ mod tests {
         assert_eq!(t.row_of_owner(OwnerId(9)), None);
         assert!(t.owners_distinct());
         t.push_row(OwnerId(1), &[Value(0), Value(0), Value(0)]).unwrap();
+        assert!(!t.owners_distinct());
+    }
+
+    #[test]
+    fn distinctness_of_sparse_owner_ids() {
+        let mut t = Table::new(schema());
+        for id in [u32::MAX - 1, 0, 1 << 30, 7] {
+            t.push_row(OwnerId(id), &[Value(0), Value(0), Value(0)]).unwrap();
+        }
+        assert!(t.owners_distinct());
+        t.push_row(OwnerId(1 << 30), &[Value(0), Value(0), Value(0)]).unwrap();
         assert!(!t.owners_distinct());
     }
 

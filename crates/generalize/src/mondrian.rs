@@ -1082,6 +1082,10 @@ pub struct RepairStats {
     pub leaves_before: usize,
     /// Leaf count after the repair.
     pub leaves_after: usize,
+    /// Leaves carried verbatim: same box, same members, not dirty, not
+    /// merged, not re-cut. A publisher republishes their tuples as they
+    /// were; only the other `leaves_after - carried_leaves` recompute.
+    pub carried_leaves: usize,
 }
 
 /// A Mondrian partition retained across releases for incremental repair.
@@ -1260,6 +1264,11 @@ impl RetainedTree {
     /// untouched leaf keeps its exact box. Deterministic and
     /// thread-invariant for any [`MondrianConfig::threads`].
     ///
+    /// Returns the repair statistics and the carry map: for each leaf of
+    /// the repaired tree, the index it had before the repair if it was
+    /// carried verbatim (see [`RepairStats::carried_leaves`]), or
+    /// `u32::MAX` if it is dirty, a merge leaf, or came out of a re-cut.
+    ///
     /// # Errors
     /// * `InvalidParameter` — `k == 0`, a schema whose QI domains differ
     ///   from the build's, out-of-order or out-of-bounds delta indices, or
@@ -1272,7 +1281,7 @@ impl RetainedTree {
         inserted_rows: &[usize],
         deleted_rows: &[usize],
         config: MondrianConfig,
-    ) -> Result<RepairStats, GeneralizeError> {
+    ) -> Result<(RepairStats, Vec<u32>), GeneralizeError> {
         let k = config.k;
         if k == 0 {
             return Err(GeneralizeError::InvalidParameter("k must be at least 1".into()));
@@ -1332,10 +1341,12 @@ impl RetainedTree {
         let mut stats = RepairStats { leaves_before: self.len(), ..RepairStats::default() };
         if d == 0 {
             // No QI attributes: the single total box absorbs any delta.
+            let untouched = deleted_rows.is_empty() && inserted_rows.is_empty();
             self.counts[0] = table.len();
             self.assignment = vec![0; table.len()];
             stats.leaves_after = 1;
-            return Ok(stats);
+            stats.carried_leaves = usize::from(untouched);
+            return Ok((stats, vec![if untouched { 0 } else { u32::MAX }]));
         }
 
         // Phase 1 — classify: departures resolve through the retained
@@ -1587,7 +1598,8 @@ impl RetainedTree {
         // nodes as single merged leaves. The flatten also records where
         // every old box (and every arena box) landed, so the retained
         // assignment can be rewritten to the new numbering without a
-        // single locate.
+        // single locate. A verbatim old leaf that the batch left clean is
+        // recorded in `carried_from`, the map returned to the caller.
         let resolve = |i: usize| -> FlattenSrc {
             if node_slot[i] != usize::MAX {
                 let slot = node_slot[i];
@@ -1605,6 +1617,7 @@ impl RetainedTree {
         let mut out_nodes: Vec<SplitNode> = Vec::new();
         let mut out_boxes: Vec<QiBox> = Vec::new();
         let mut out_counts: Vec<usize> = Vec::new();
+        let mut carried_from: Vec<u32> = Vec::new();
         // (source, parent index in out_nodes or MAX, is-left-child)
         let mut stack: Vec<(FlattenSrc, usize, bool)> = vec![(resolve(self.root), usize::MAX, false)];
         while let Some((src, pidx, is_left)) = stack.pop() {
@@ -1618,8 +1631,9 @@ impl RetainedTree {
                     }
                 }
             }
-            // (leaf box, leaf count) to emit, or a split already pushed.
-            let leaf: Option<(QiBox, usize)> = match src {
+            // (leaf box, leaf count, carried from) to emit, or a split
+            // already pushed.
+            let leaf: Option<(QiBox, usize, u32)> = match src {
                 FlattenSrc::Old(i) if collapse_max.contains(&i) => {
                     // Every old leaf under the collapse maps to the one
                     // merged output leaf.
@@ -1634,7 +1648,7 @@ impl RetainedTree {
                             SplitNode::Leaf(b) => renum_box[b] = new_box,
                         }
                     }
-                    Some((self.subtree_box(i), sub_count[i]))
+                    Some((self.subtree_box(i), sub_count[i], u32::MAX))
                 }
                 FlattenSrc::Old(i) => match self.nodes[i] {
                     SplitNode::Split { qi_pos, cut, left, right } => {
@@ -1650,7 +1664,8 @@ impl RetainedTree {
                     }
                     SplitNode::Leaf(b) => {
                         renum_box[b] = out_boxes.len() as u32;
-                        Some((self.boxes[b].clone(), self.counts[b]))
+                        let from = if dirty.contains(&b) { u32::MAX } else { b as u32 };
+                        Some((self.boxes[b].clone(), self.counts[b], from))
                     }
                 },
                 FlattenSrc::New { slot, node } => {
@@ -1669,14 +1684,15 @@ impl RetainedTree {
                         }
                         SplitNode::Leaf(bi) => {
                             arena_out[slot][bi] = out_boxes.len() as u32;
-                            Some((arena.boxes[bi].clone(), arena.counts[bi]))
+                            Some((arena.boxes[bi].clone(), arena.counts[bi], u32::MAX))
                         }
                     }
                 }
             };
-            if let Some((bx, count)) = leaf {
+            if let Some((bx, count, from)) = leaf {
                 out_boxes.push(bx);
                 out_counts.push(count);
+                carried_from.push(from);
                 out_nodes.push(SplitNode::Leaf(out_boxes.len() - 1));
             }
         }
@@ -1710,8 +1726,9 @@ impl RetainedTree {
         self.assignment = next_assign;
         self.root = 0;
         stats.leaves_after = self.len();
+        stats.carried_leaves = carried_from.iter().filter(|&&from| from != u32::MAX).count();
         debug_assert_eq!(self.counts.iter().sum::<usize>(), table.len());
-        Ok(stats)
+        Ok((stats, carried_from))
     }
 }
 
@@ -1982,9 +1999,11 @@ mod tests {
         let cfg = MondrianConfig::new(5);
         let (_, mut tree) = partition_retained(&t, t.schema(), cfg).unwrap();
         let before = tree.clone();
-        let stats = tree.apply_delta(&t, t.schema(), &[], &[], cfg).unwrap();
+        let (stats, carried_from) = tree.apply_delta(&t, t.schema(), &[], &[], cfg).unwrap();
         assert_eq!(tree, before, "empty delta must not move a single box");
         assert_eq!(stats.dirty_leaves, 0);
+        assert_eq!(stats.carried_leaves, tree.len(), "every leaf carries");
+        assert!(carried_from.iter().enumerate().all(|(b, &from)| from as usize == b));
         assert_eq!(stats.gathered_rows, 0, "no recut ⇒ no O(n) pass");
     }
 
@@ -2006,9 +2025,35 @@ mod tests {
             next.push_row(OwnerId(1_000_000 + src as u32), &row).unwrap();
         }
         let inserted: Vec<usize> = (base..next.len()).collect();
-        let stats = tree.apply_delta(&next, next.schema(), &inserted, &dels, cfg).unwrap();
+        let before = tree.clone();
+        let (stats, carried_from) =
+            tree.apply_delta(&next, next.schema(), &inserted, &dels, cfg).unwrap();
         assert_counts_consistent(&tree, &next);
         assert!(tree.counts().iter().all(|&c| c >= cfg.k), "repair must restore G2");
+        // A carried leaf has the box, count and members it had before: the
+        // survivors keep their order, so its rows are the old rows shifted
+        // past the deletions.
+        assert_eq!(carried_from.len(), tree.len());
+        assert_eq!(
+            stats.carried_leaves,
+            carried_from.iter().filter(|&&f| f != u32::MAX).count()
+        );
+        let survivors: Vec<usize> = (0..t.len()).filter(|r| !dels.contains(r)).collect();
+        let (Recoding::Boxes(old), Recoding::Boxes(new)) = (before.recoding(), tree.recoding())
+        else {
+            panic!("expected boxes")
+        };
+        for (b, &from) in carried_from.iter().enumerate().filter(|(_, &f)| f != u32::MAX) {
+            let from = from as usize;
+            assert_eq!(new.boxes()[b], old.boxes()[from], "carried leaf {b} moved");
+            assert_eq!(tree.counts()[b], before.counts()[from]);
+            let now: Vec<usize> =
+                (0..next.len()).filter(|&r| tree.assignment()[r] as usize == b).collect();
+            let then: Vec<usize> = (0..survivors.len())
+                .filter(|&r| before.assignment()[survivors[r]] as usize == from)
+                .collect();
+            assert_eq!(now, then, "carried leaf {b} changed members");
+        }
         // Every box the delta did not touch must survive verbatim; with a
         // tiny batch that is almost all of them.
         let after_boxes = box_set(&tree);
@@ -2034,7 +2079,7 @@ mod tests {
             (0..t.len()).filter(|&r| part.locate(&t.qi_vector(r)) == 0).collect();
         assert!(!victims.is_empty());
         let (next, dels) = delete_rows(&t, &victims);
-        let stats = tree.apply_delta(&next, next.schema(), &[], &dels, cfg).unwrap();
+        let (stats, _) = tree.apply_delta(&next, next.schema(), &[], &dels, cfg).unwrap();
         assert!(stats.merges >= 1, "{stats:?}");
         assert!(tree.counts().iter().all(|&c| c >= cfg.k), "merge must restore G2");
         assert_counts_consistent(&tree, &next);
@@ -2058,7 +2103,7 @@ mod tests {
             next.push_row(OwnerId(10_000 + i), &[Value(a), Value(b), Value(i % 4)]).unwrap();
         }
         let inserted: Vec<usize> = (base..next.len()).collect();
-        let stats = tree.apply_delta(&next, next.schema(), &inserted, &[], cfg).unwrap();
+        let (stats, _) = tree.apply_delta(&next, next.schema(), &inserted, &[], cfg).unwrap();
         assert!(stats.recuts >= 1, "{stats:?}");
         assert!(stats.gathered_rows > 0);
         assert!(tree.len() > leaves_before, "recut should refine the corner");
@@ -2088,7 +2133,7 @@ mod tests {
         for threads in [1usize, 2, 4] {
             let cfg = cfg1.with_threads(threads).with_grain(64);
             let mut tree = tree0.clone();
-            let stats = tree.apply_delta(&next, next.schema(), &inserted, &dels, cfg).unwrap();
+            let (stats, _) = tree.apply_delta(&next, next.schema(), &inserted, &dels, cfg).unwrap();
             assert!(tree.counts().iter().all(|&c| c >= cfg.k), "threads={threads} {stats:?}");
             match &reference {
                 None => reference = Some(tree),

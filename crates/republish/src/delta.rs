@@ -89,12 +89,18 @@ pub(crate) fn apply_updates_classified(
     }
     // One pass over the table: keep every surviving row, resolve deletes,
     // and reject inserts of owners that are present and not deleted first
-    // (delete + re-insert in one batch models an in-place update).
+    // (delete + re-insert in one batch models an in-place update). A row
+    // whose owner misses the batch's bitmap is untouched and skips both
+    // exact probes; the bitmap's hash needs no key, because a collision
+    // only sends a row on to the exact sets.
+    let batch_filter = BatchFilter::new(deleted_owners.iter().chain(&insert_owners));
     let mut keep = Vec::with_capacity(table.len());
     let mut deleted_rows = Vec::with_capacity(deleted_owners.len());
     for r in table.rows() {
         let owner = table.owner(r);
-        if deleted_owners.contains(&owner) {
+        if !batch_filter.may_contain(owner) {
+            keep.push(r);
+        } else if deleted_owners.contains(&owner) {
             deleted_rows.push(r);
         } else {
             if insert_owners.contains(&owner) {
@@ -127,6 +133,37 @@ pub(crate) fn apply_updates_classified(
         next.push_row(owner, &row)?;
     }
     Ok(ClassifiedBatch { next, deleted_rows, departed, inserted_range })
+}
+
+/// A bitmap over a batch's owners: a clear bit proves an owner is not in
+/// the batch; a set bit means it may be.
+struct BatchFilter {
+    words: Vec<u64>,
+    shift: u32,
+}
+
+impl BatchFilter {
+    /// Sixteen bits per owner keep the false-positive rate near 1/16.
+    fn new<'a>(owners: impl Iterator<Item = &'a OwnerId> + Clone) -> Self {
+        let bits = (owners.clone().count() * 16).next_power_of_two().clamp(64, 1 << 31);
+        let mut filter =
+            BatchFilter { words: vec![0; bits / 64], shift: 32 - bits.trailing_zeros() };
+        for &owner in owners {
+            let bit = filter.bit(owner);
+            filter.words[bit / 64] |= 1 << (bit % 64);
+        }
+        filter
+    }
+
+    /// Multiplicative (Fibonacci) hash of the id, top bits.
+    fn bit(&self, owner: OwnerId) -> usize {
+        (owner.0.wrapping_mul(0x9E37_79B9) as u64 >> self.shift) as usize
+    }
+
+    fn may_contain(&self, owner: OwnerId) -> bool {
+        let bit = self.bit(owner);
+        self.words[bit / 64] & (1 << (bit % 64)) != 0
+    }
 }
 
 /// Parses an update batch from its CSV wire form.

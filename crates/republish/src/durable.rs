@@ -13,18 +13,21 @@
 //! account for (the failure mode that would let an adversary diff an
 //! unaccounted release against the next one).
 //!
-//! In-memory cross-release state (the persistent-perturbation memo and the
-//! representative memo) advances **only after** the durable commit
+//! In-memory cross-release state (the persistent-perturbation memo, the
+//! representative memo, and the retained partition with the leaf values a
+//! delta carries forward) advances **only after** the durable commit
 //! succeeds, via the [`Republisher::prepare_next`] /
-//! [`Republisher::commit_prepared`] split — a failed or crashed commit
-//! leaves the series exactly as if the attempt never happened.
+//! [`Republisher::prepare_delta`] / [`Republisher::commit_prepared`]
+//! split — a failed or crashed commit leaves the series exactly as if the
+//! attempt never happened.
 //!
-//! Scope: the memo itself is process-local and is not persisted; after a
-//! process restart the series continues with fresh randomness. What
-//! [`SeriesPublisher::open`] guarantees across restarts is the *disk*
-//! invariant: interrupted commits are rolled forward or back, the
-//! bookkeeping always matches the releases byte-for-byte, and numbering
-//! continues where the durable record left off.
+//! Scope: all of that state is process-local and is not persisted. After a
+//! process restart the series continues with fresh randomness, and its
+//! first release must be a full one, since there is no retained partition
+//! to repair. What [`SeriesPublisher::open`] guarantees across restarts is
+//! the *disk* invariant: interrupted commits are rolled forward or back,
+//! the bookkeeping always matches the releases byte-for-byte, and
+//! numbering continues where the durable record left off.
 
 use crate::delta::Update;
 use crate::error::RepublishError;

@@ -100,33 +100,62 @@ impl PersistentChannel {
         rng: &mut R,
         table: &Table,
     ) -> (Table, StagedDraws) {
+        let (outputs, staged) = self.stage_rows(rng, table, 0);
+        let mut out = table.clone();
+        for (row, output) in outputs.into_iter().enumerate() {
+            out.set_sensitive_value(row, output);
+        }
+        (out, staged)
+    }
+
+    /// The staging pass of [`PersistentChannel::stage_table`] over the rows
+    /// `from..` of `table`, in row order: returns their perturbed values
+    /// and the fresh draws. A delta release stages only its inserted tail
+    /// this way; every row before it is a survivor whose draw the memo
+    /// already holds.
+    pub(crate) fn stage_rows<R: Rng + ?Sized>(
+        &self,
+        rng: &mut R,
+        table: &Table,
+        from: usize,
+    ) -> (Vec<Value>, StagedDraws) {
         assert_eq!(
             self.channel.domain_size(),
             table.schema().sensitive_domain_size(),
             "channel domain does not match sensitive domain"
         );
         let mut staged = StagedDraws::default();
-        let mut out = table.clone();
-        for row in 0..out.len() {
-            let owner = out.owner(row);
-            let original = out.sensitive_value(row);
+        let mut out = Vec::with_capacity(table.len().saturating_sub(from));
+        for row in from..table.len() {
+            let owner = table.owner(row);
+            let original = table.sensitive_value(row);
             let cached = self
                 .memo
                 .get(&owner)
                 .or_else(|| staged.draws.get(&owner))
                 .filter(|&&(input, _)| input == original)
                 .map(|&(_, output)| output);
-            let perturbed = match cached {
+            out.push(match cached {
                 Some(output) => output,
                 None => {
                     let output = self.channel.apply(rng, original);
                     staged.draws.insert(owner, (original, output));
                     output
                 }
-            };
-            out.set_sensitive_value(row, perturbed);
+            });
         }
         (out, staged)
+    }
+
+    /// The memoized output for `owner` if the memo holds a draw for exactly
+    /// this input `value`.
+    pub(crate) fn cached(&self, owner: OwnerId, value: Value) -> Option<Value> {
+        self.memo.get(&owner).filter(|&&(input, _)| input == value).map(|&(_, output)| output)
+    }
+
+    /// Drops `owner`'s draw, if any: one lookup, not a scan of the memo.
+    pub(crate) fn forget(&mut self, owner: OwnerId) {
+        self.memo.remove(&owner);
     }
 
     /// Merges draws staged by [`PersistentChannel::stage_table`] into the
