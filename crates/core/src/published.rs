@@ -117,6 +117,23 @@ impl PublishedTable {
     /// commas become `;` so every field stays one CSV field.
     pub fn render(&self, taxonomies: &[Taxonomy]) -> String {
         let mut out = String::new();
+        self.render_with(taxonomies, &mut out, |_, _| false);
+        out
+    }
+
+    /// The one tuple-line writer behind [`PublishedTable::render`]. Clears
+    /// `out`, writes the header, then each tuple's line in group order.
+    /// Before tuple `i`'s line, `carry(i, out)` runs: it may append that
+    /// line itself, newline included and byte for byte what this writer
+    /// would format, and return `true`; or return `false` to have the line
+    /// formatted. Returns how many lines each way produced.
+    pub fn render_with(
+        &self,
+        taxonomies: &[Taxonomy],
+        out: &mut String,
+        mut carry: impl FnMut(usize, &mut String) -> bool,
+    ) -> RenderedLines {
+        out.clear();
         for &col in self.schema.qi_indices() {
             out.push_str(self.schema.attribute(col).name());
             out.push(',');
@@ -125,19 +142,34 @@ impl PublishedTable {
         out.push_str(",G\n");
         let sdom = self.schema.sensitive().domain();
         let mut label = String::new();
-        for t in &self.tuples {
+        let mut lines = RenderedLines::default();
+        for (i, t) in self.tuples.iter().enumerate() {
+            if carry(i, out) {
+                lines.copied += 1;
+                continue;
+            }
             for pos in 0..self.schema.qi_arity() {
                 label.clear();
                 self.recoding.write_label(&mut label, &self.schema, taxonomies, &t.signature, pos);
-                push_without_commas(&mut out, &label);
+                push_without_commas(out, &label);
                 out.push(',');
             }
-            push_without_commas(&mut out, sdom.label(t.sensitive));
+            push_without_commas(out, sdom.label(t.sensitive));
             // Writing to a `String` cannot fail.
             let _ = writeln!(out, ",{}", t.group_size);
+            lines.formatted += 1;
         }
-        out
+        lines
     }
+}
+
+/// How [`PublishedTable::render_with`] produced its tuple lines.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct RenderedLines {
+    /// Lines the caller copied in.
+    pub copied: usize,
+    /// Lines the writer formatted.
+    pub formatted: usize,
 }
 
 /// Appends `s` to `out` with every `,` written as `;`.
@@ -219,5 +251,20 @@ mod tests {
         // Auto-generated interval labels are re-derived from domain labels.
         assert_eq!(lines.next(), Some("[0..3],x,3"));
         assert_eq!(lines.next(), Some("[4..7],y,2"));
+    }
+
+    #[test]
+    fn copied_lines_stand_in_for_formatted_ones() {
+        let (pt, taxes) = setup();
+        let full = pt.render(&taxes);
+        let mut out = String::from("stale");
+        let lines = pt.render_with(&taxes, &mut out, |i, out| {
+            if i == 1 {
+                out.push_str("[4..7],y,2\n");
+            }
+            i == 1
+        });
+        assert_eq!(out, full);
+        assert_eq!(lines, RenderedLines { copied: 1, formatted: 1 });
     }
 }

@@ -343,16 +343,18 @@ impl CommitSet {
     }
 
     /// Stages `bytes` for final name `name` (a plain file name, no path
-    /// separators). The temporary is durable when this returns.
-    pub fn stage(&mut self, name: &str, bytes: &[u8]) -> Result<(), DataError> {
+    /// separators). The temporary is durable when this returns. Returns
+    /// the FNV-1a digest of `bytes`, the one the manifest records.
+    pub fn stage(&mut self, name: &str, bytes: &[u8]) -> Result<u64, DataError> {
         if name.contains(['/', '\\']) || name == INTENT_FILE || name.ends_with(TMP_SUFFIX) {
             return Err(DataError::InvalidParameter(format!(
                 "commit entry `{name}` must be a plain file name"
             )));
         }
         stage_file(&self.dir.join(name), bytes, &self.policy)?;
-        self.staged.push(Staged { name: name.to_string(), digest: fnv1a(bytes) });
-        Ok(())
+        let digest = fnv1a(bytes);
+        self.staged.push(Staged { name: name.to_string(), digest });
+        Ok(digest)
     }
 
     /// Commits every staged file. See the type docs for the protocol.
@@ -741,5 +743,22 @@ mod tests {
         c.stage("release.csv", b"r1").unwrap();
         c.abort();
         assert_eq!(recover_commits(&dir).unwrap(), CommitRecovery::Clean);
+    }
+
+    #[test]
+    fn stage_returns_the_digest_the_manifest_records() {
+        let dir = tmpdir("commit-digest");
+        let mut c = CommitSet::new(&dir, RetryPolicy::none()).unwrap();
+        let release = c.stage("release.csv", b"r1,x,3\n").unwrap();
+        let state = c.stage("state.tsv", b"s1").unwrap();
+        assert_eq!(release, fnv1a(b"r1,x,3\n"));
+        assert_eq!(state, fnv1a(b"s1"));
+        // Stop right after the manifest lands, then read it back.
+        let _ = c.commit_crashing_after(0);
+        let manifest = fs::read_to_string(dir.join(INTENT_FILE)).unwrap();
+        assert_eq!(
+            parse_manifest(&manifest),
+            Some(vec![("release.csv".to_string(), release), ("state.tsv".to_string(), state)])
+        );
     }
 }

@@ -21,6 +21,15 @@
 //! split — a failed or crashed commit leaves the series exactly as if the
 //! attempt never happened.
 //!
+//! The publisher itself retains, also in process memory only: the text of
+//! the bookkeeping file, to which a commit appends one line; and the last
+//! committed release's bytes with the byte range of each box's tuple line.
+//! A delta copies the lines of the leaves it carried from those bytes and
+//! formats the rest (DESIGN.md §17, "What a delta writes"). Both advance
+//! with the rest of the series state, after the commit succeeds, and
+//! [`SeriesPublisher::release_bytes`] hands the release to callers without
+//! a reread.
+//!
 //! Scope: all of that state is process-local and is not persisted. After a
 //! process restart the series continues with fresh randomness, and its
 //! first release must be a full one, since there is no retained partition
@@ -32,15 +41,18 @@
 use crate::delta::Update;
 use crate::error::RepublishError;
 use crate::series::{PreparedRelease, Republisher};
-use acpp_core::published::PublishedTable;
+use acpp_core::published::{PublishedTable, RenderedLines};
 use acpp_core::{PgConfig, Threads};
 use acpp_data::atomic::{recover_commits, CommitRecovery, CommitSet, RetryPolicy};
 use acpp_data::digest::{fnv1a, parse_digest, render_digest};
 use acpp_data::{DataError, Table, Taxonomy};
+use acpp_generalize::Recoding;
 use acpp_obs::{metrics, MS_BUCKETS};
 use rand::Rng;
+use std::fmt::Write;
 use std::fs;
 use std::io::ErrorKind;
+use std::ops::Range;
 use std::path::{Path, PathBuf};
 use std::time::Instant;
 
@@ -67,6 +79,13 @@ pub struct SeriesPublisher {
     policy: RetryPolicy,
     /// Committed releases in order: (file name, content digest).
     committed: Vec<(String, u64)>,
+    /// The bookkeeping file's text for `committed`.
+    state: String,
+    /// The last release this process committed.
+    text: ReleaseText,
+    /// The buffer the next release renders into; it trades places with
+    /// `text` when that release commits.
+    spare: ReleaseText,
     /// When this process last committed a release (release-cadence metric).
     last_release: Option<Instant>,
 }
@@ -80,6 +99,81 @@ pub struct SeriesRelease {
     pub path: PathBuf,
     /// Its 1-based index in the series.
     pub index: usize,
+    /// FNV-1a digest of the release file, as the bookkeeping records it.
+    pub digest: u64,
+    /// How the release's tuple lines were written: copied from the previous
+    /// release or formatted.
+    pub lines: RenderedLines,
+}
+
+/// A rendered release and where each box's tuple line sits in it.
+#[derive(Default)]
+struct ReleaseText {
+    text: String,
+    /// For a box-partition release, the byte range of each box's tuple line
+    /// in `text`, newline included; empty for any other recoding.
+    lines: Vec<Range<usize>>,
+    /// Scratch: the start of each tuple line, in tuple order.
+    starts: Vec<usize>,
+}
+
+/// Sizes only: the text holds every published value.
+impl std::fmt::Debug for ReleaseText {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("ReleaseText")
+            .field("bytes", &self.text.len())
+            .field("lines", &self.lines.len())
+            .finish()
+    }
+}
+
+impl ReleaseText {
+    /// Renders `published` into this buffer. With a delta's carry map, each
+    /// box the map takes back to a box of `prev` copies that box's line from
+    /// `prev`. A carried box keeps its bounds, its size and its sensitive
+    /// value, and a box label depends on the bounds and the schema's domain
+    /// labels alone, so the copy is the line the writer would format.
+    fn render(
+        &mut self,
+        published: &PublishedTable,
+        taxonomies: &[Taxonomy],
+        carry: Option<(&[u32], &ReleaseText)>,
+    ) -> RenderedLines {
+        let tuples = published.tuples();
+        let starts = &mut self.starts;
+        starts.clear();
+        let lines = published.render_with(taxonomies, &mut self.text, |i, out| {
+            starts.push(out.len());
+            let Some((map, prev)) = carry else { return false };
+            let line = tuples[i]
+                .signature
+                .first()
+                .and_then(|&b| map.get(b as usize))
+                .and_then(|&from| prev.lines.get(from as usize))
+                .filter(|range| !range.is_empty())
+                .and_then(|range| prev.text.get(range.clone()));
+            match line {
+                Some(line) => {
+                    out.push_str(line);
+                    true
+                }
+                None => false,
+            }
+        });
+        self.lines.clear();
+        if let Recoding::Boxes(part) = published.recoding() {
+            self.lines.resize(part.boxes().len(), 0..0);
+            let ends = self.starts.iter().skip(1).copied().chain([self.text.len()]);
+            for ((t, &start), end) in tuples.iter().zip(&self.starts).zip(ends) {
+                if let Some(slot) =
+                    t.signature.first().and_then(|&b| self.lines.get_mut(b as usize))
+                {
+                    *slot = start..end;
+                }
+            }
+        }
+        lines
+    }
 }
 
 impl SeriesPublisher {
@@ -102,8 +196,22 @@ impl SeriesPublisher {
         })?;
         let recovery = recover_commits(&dir)?;
         let committed = read_bookkeeping(&dir)?;
+        let mut state = format!("{STATE_HEADER}\n");
+        for (name, digest) in &committed {
+            push_state_line(&mut state, name, *digest);
+        }
         let inner = Republisher::new(config, us)?;
-        Ok((SeriesPublisher { inner, dir, policy, committed, last_release: None }, recovery))
+        let publisher = SeriesPublisher {
+            inner,
+            dir,
+            policy,
+            committed,
+            state,
+            text: ReleaseText::default(),
+            spare: ReleaseText::default(),
+            last_release: None,
+        };
+        Ok((publisher, recovery))
     }
 
     /// Sets the worker-pool size used when preparing releases. Output is
@@ -127,6 +235,12 @@ impl SeriesPublisher {
     /// Paths of the committed releases, in series order.
     pub fn release_paths(&self) -> Vec<PathBuf> {
         self.committed.iter().map(|(name, _)| self.dir.join(name)).collect()
+    }
+
+    /// The bytes of the last release this process committed, as they are
+    /// on disk; empty before the first.
+    pub fn release_bytes(&self) -> &[u8] {
+        self.text.text.as_bytes()
     }
 
     /// Publishes the next release of `table` durably: prepare, commit the
@@ -198,9 +312,10 @@ impl SeriesPublisher {
         self.commit_release(prepared, taxonomies, crash)
     }
 
-    /// Shared durable tail of the full and delta publish paths: stage the
-    /// release file and the regenerated bookkeeping, commit them atomically,
-    /// and only then advance the in-memory series state.
+    /// Shared durable tail of the full and delta publish paths: render the
+    /// release (copying the lines a delta carried), stage it and the
+    /// bookkeeping, commit them atomically, and only then advance the
+    /// in-memory series state and the retained release text.
     fn commit_release(
         &mut self,
         prepared: PreparedRelease,
@@ -209,37 +324,26 @@ impl SeriesPublisher {
     ) -> Result<SeriesRelease, RepublishError> {
         let index = self.committed.len() + 1;
         let name = release_file_name(index);
-        let bytes = prepared.published().render(taxonomies).into_bytes();
-        let digest = fnv1a(&bytes);
+        let carry = prepared.carry().map(|map| (map, &self.text));
+        let lines = self.spare.render(prepared.published(), taxonomies, carry);
 
         let mut set = CommitSet::new(&self.dir, self.policy)?;
-        set.stage(&name, &bytes)?;
-        let mut state = format!("{STATE_HEADER}\n");
-        for (n, d) in &self.committed {
-            state.push_str(&format!("{n}\t{}\n", render_digest(*d)));
-        }
-        state.push_str(&format!("{name}\t{}\n", render_digest(digest)));
-        set.stage(STATE_FILE, state.as_bytes())?;
-        match crash {
-            SeriesCrash::None => set.commit()?,
-            SeriesCrash::BeforeManifest => {
-                // Temps are staged and fsynced; the manifest never lands.
-                // Dropping the set without commit/abort models the death.
-                drop(set);
-                return Err(state_err("simulated crash before commit manifest".into()));
-            }
-            SeriesCrash::MidRenames(renames) => {
-                set.commit_crashing_after(renames)?;
-                return Err(state_err(format!(
-                    "simulated crash after {renames} commit renames"
-                )));
-            }
+        let digest = set.stage(&name, self.spare.text.as_bytes())?;
+        let kept = self.state.len();
+        push_state_line(&mut self.state, &name, digest);
+        if let Err(e) = commit_state(set, &self.state, crash) {
+            self.state.truncate(kept);
+            return Err(e);
         }
 
         let published = self.inner.commit_prepared(prepared);
+        std::mem::swap(&mut self.text, &mut self.spare);
         self.committed.push((name.clone(), digest));
         let m = metrics();
         m.counter_add("acpp_series_releases_total", 1);
+        for (how, n) in [("copied", lines.copied), ("formatted", lines.formatted)] {
+            m.counter_add_labeled("acpp_series_release_lines_total", "how", how, n as u64);
+        }
         m.gauge_set("acpp_series_release_tuples", published.len() as f64);
         if let Some(prev) = self.last_release {
             m.observe(
@@ -249,7 +353,32 @@ impl SeriesPublisher {
             );
         }
         self.last_release = Some(Instant::now());
-        Ok(SeriesRelease { published, path: self.dir.join(&name), index })
+        Ok(SeriesRelease { published, path: self.dir.join(&name), index, digest, lines })
+    }
+}
+
+/// Appends one bookkeeping line: the release file and its digest.
+fn push_state_line(state: &mut String, name: &str, digest: u64) {
+    // Writing to a `String` cannot fail.
+    let _ = writeln!(state, "{name}\t{}", render_digest(digest));
+}
+
+/// Stages the bookkeeping `state` into `set` and commits it, or dies at
+/// `crash`.
+fn commit_state(mut set: CommitSet, state: &str, crash: SeriesCrash) -> Result<(), RepublishError> {
+    set.stage(STATE_FILE, state.as_bytes())?;
+    match crash {
+        SeriesCrash::None => Ok(set.commit()?),
+        SeriesCrash::BeforeManifest => {
+            // Temps are staged and fsynced; the manifest never lands.
+            // Dropping the set without commit/abort models the death.
+            drop(set);
+            Err(state_err("simulated crash before commit manifest".into()))
+        }
+        SeriesCrash::MidRenames(renames) => {
+            set.commit_crashing_after(renames)?;
+            Err(state_err(format!("simulated crash after {renames} commit renames")))
+        }
     }
 }
 
@@ -529,5 +658,87 @@ mod tests {
         assert!(dir.join(release_file_name(2)).exists());
         let (reopened, _) = open(&dir);
         assert_eq!(reopened.releases(), 2);
+    }
+
+    /// The bookkeeping as the commit protocol has always written it: the
+    /// header, then one `name<TAB>digest` line per release file on disk.
+    fn bookkeeping_of(dir: &Path, releases: usize) -> String {
+        let mut text = String::from("acpp-series v1\n");
+        for i in 1..=releases {
+            let name = release_file_name(i);
+            let bytes = fs::read(dir.join(&name)).unwrap();
+            text.push_str(&format!("{name}\t{}\n", render_digest(fnv1a(&bytes))));
+        }
+        text
+    }
+
+    #[test]
+    fn appended_bookkeeping_matches_the_full_format() {
+        let dir = tmpdir("bookkeeping-bytes");
+        let t = table(200);
+        let taxes = taxonomies();
+        let mut rng = StdRng::seed_from_u64(11);
+        let state = || fs::read_to_string(dir.join(STATE_FILE)).unwrap();
+        let (mut series, _) = open(&dir);
+        for _ in 0..3 {
+            series.publish_next(&t, &taxes, &mut rng).unwrap();
+        }
+        series.publish_delta(&[Update::Delete(OwnerId(9))], &taxes, &mut rng).unwrap();
+        assert_eq!(state(), bookkeeping_of(&dir, 4));
+        // A crash before the manifest takes its line back out.
+        let doomed = [Update::Delete(OwnerId(10))];
+        series
+            .publish_delta_crashing(&doomed, &taxes, &mut rng, SeriesCrash::BeforeManifest)
+            .unwrap_err();
+        series.publish_delta(&doomed, &taxes, &mut rng).unwrap();
+        assert_eq!(state(), bookkeeping_of(&dir, 5));
+        // A roll-forward, then a reopen that re-derives the text.
+        series.publish_next_crashing(&t, &taxes, &mut rng, SeriesCrash::MidRenames(1)).unwrap_err();
+        let (mut series, _) = open(&dir);
+        assert_eq!(state(), bookkeeping_of(&dir, 6));
+        series.publish_next(&t, &taxes, &mut rng).unwrap();
+        assert_eq!(state(), bookkeeping_of(&dir, 7));
+    }
+
+    /// A 0.1 % delta on 20k rows copies almost every line from the previous
+    /// release; a full release copies none. Either way the file is the
+    /// reference render.
+    #[test]
+    fn a_trickle_delta_copies_its_carried_lines() {
+        use acpp_data::sal::{self, SalConfig};
+        let dir = tmpdir("line-counts");
+        let base = sal::generate(SalConfig { rows: 20_000, seed: 2008 });
+        let donors = sal::generate(SalConfig { rows: 10, seed: 777 });
+        let taxes = sal::qi_taxonomies();
+        let us = base.schema().sensitive_domain_size();
+        let (mut series, _) =
+            SeriesPublisher::open(PgConfig::new(0.3, 8).unwrap(), us, &dir, RetryPolicy::none())
+                .unwrap();
+        let mut rng = StdRng::seed_from_u64(12);
+        let copied = || {
+            metrics().snapshot().counter("acpp_series_release_lines_total", Some(("how", "copied")))
+        };
+        let full = series.publish_next(&base, &taxes, &mut rng).unwrap();
+        assert_eq!(full.lines.copied, 0);
+        assert_eq!(full.lines.formatted, full.published.len());
+        let before = copied();
+        let updates: Vec<Update> = (0..10)
+            .map(|i| Update::Delete(base.owner(i * 1_999)))
+            .chain((0..10).map(|i| Update::Insert {
+                owner: OwnerId(1 << 30 | i as u32),
+                row: donors.row(i),
+            }))
+            .collect();
+        let delta = series.publish_delta(&updates, &taxes, &mut rng).unwrap();
+        let lines = delta.lines;
+        assert_eq!(lines.copied + lines.formatted, delta.published.len());
+        assert!(lines.formatted > 0 && lines.formatted * 20 < delta.published.len(), "{lines:?}");
+        assert!(copied() >= before + lines.copied as u64, "the counter counts the copies");
+        for release in [&full, &delta] {
+            let on_disk = fs::read(&release.path).unwrap();
+            assert_eq!(on_disk, release.published.render(&taxes).into_bytes());
+            assert_eq!(fnv1a(&on_disk), release.digest);
+        }
+        assert_eq!(series.release_bytes(), fs::read(&delta.path).unwrap());
     }
 }

@@ -148,6 +148,10 @@ pub struct PreparedRelease {
     retained: Option<RetainedState>,
     departed: Vec<OwnerId>,
     repair: Option<RepairStats>,
+    /// The repair's carry map (new leaf → the previous release's leaf, or
+    /// `u32::MAX`), kept only when the delta carried: then every leaf it
+    /// maps publishes the tuple line that leaf published last time.
+    carry: Option<Vec<u32>>,
 }
 
 impl PreparedRelease {
@@ -167,6 +171,11 @@ impl PreparedRelease {
     /// [`Republisher::prepare_delta`].
     pub fn repair_stats(&self) -> Option<RepairStats> {
         self.repair
+    }
+
+    /// The carry map, present only for a delta that carried.
+    pub(crate) fn carry(&self) -> Option<&[u32]> {
+        self.carry.as_deref()
     }
 }
 
@@ -376,6 +385,7 @@ impl Republisher {
         prepared.retained = Some(RetainedState::new(next, tree, &prepared.published));
         prepared.departed = classified.departed;
         prepared.repair = Some(stats);
+        prepared.carry = state.leaf_sensitive.is_some().then_some(carried_from);
         Ok(prepared)
     }
 
@@ -502,6 +512,7 @@ impl Republisher {
             retained: None,
             departed: Vec::new(),
             repair: None,
+            carry: None,
         })
     }
 
@@ -1099,6 +1110,23 @@ mod tests {
         // The next delta recomputes everything and re-establishes the carry.
         pub_.publish_delta(&[Update::Delete(OwnerId(3))], &taxes, &mut rng).unwrap();
         assert!(pub_.retained.as_ref().unwrap().leaf_sensitive.is_some());
+    }
+
+    #[test]
+    fn only_a_carrying_delta_keeps_its_carry_map() {
+        let t = table(200);
+        let taxes = taxonomies();
+        let mut pub_ = Republisher::new(PgConfig::new(0.3, 4).unwrap(), 10).unwrap();
+        let mut rng = StdRng::seed_from_u64(34);
+        let full = pub_.prepare_next(&t, &taxes, &mut rng).unwrap();
+        assert!(full.carry().is_none());
+        pub_.commit_prepared(full);
+        let batch = [Update::Delete(OwnerId(3))];
+        let delta = pub_.prepare_delta(&batch, &taxes, &mut rng).unwrap();
+        let leaves = delta.repair_stats().unwrap().leaves_after;
+        assert_eq!(delta.carry().map(<[u32]>::len), Some(leaves));
+        pub_.forget_departed(&t);
+        assert!(pub_.prepare_delta(&batch, &taxes, &mut rng).unwrap().carry().is_none());
     }
 
     /// A carry relies on every survivor's draw being in the memo; a memo

@@ -1408,12 +1408,11 @@ fn run_series_job(
     };
     // The job's own output is a copy of the release, so the standard
     // fetch/status surface works unchanged for series jobs.
-    let bytes = release.published.render(&taxonomies).into_bytes();
-    write_atomic(&dir.join(spool::OUTPUT), &bytes, &policy)?;
+    write_atomic(&dir.join(spool::OUTPUT), publisher.release_bytes(), &policy)?;
     let m = metrics();
     m.counter_add("acppd_series_releases_total", 1);
     m.gauge_set("acppd_series_release_index", release.index as f64);
-    Ok(fnv1a(&bytes))
+    Ok(release.digest)
 }
 
 /// Executes one job against its spool directory. Fresh runs honour the
