@@ -1,9 +1,9 @@
 //! Scaling curve for the deterministic parallel publication engine.
 //!
 //! Runs the full three-phase pipeline on one SAL table at a sweep of
-//! worker-pool sizes and reports each point's speedup over a faithful
-//! reimplementation of the pre-parallel sequential pipeline, timed in the
-//! same run (`baseline_kind = pre_pr_sequential` in the report). The
+//! worker-pool sizes and reports each point's speedup over the same engine
+//! at one worker, timed in the same run (`baseline_kind = engine_t1` in the
+//! report). The
 //! report's `scaling` section is a machine-readable array — one object
 //! per swept count with `threads`, `seconds`, `rows_per_sec`, `speedup` —
 //! which is what the CI scaling gate and the EXPERIMENTS recipes consume.
@@ -68,7 +68,7 @@ fn main() {
     let table = bench.phase("generate", rows, || sal::generate(SalConfig { rows, seed }));
     let taxes = sal::qi_taxonomies();
 
-    eprintln!("sweeping baseline + {} worker counts ({reps} reps)…", thread_counts.len());
+    eprintln!("sweeping one worker + {} worker counts ({reps} reps)…", thread_counts.len());
     let run = bench
         .phase("sweep", rows, || {
             run_scaling_with_reps(&table, &taxes, cfg, seed, &thread_counts, reps)

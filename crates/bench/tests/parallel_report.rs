@@ -1,7 +1,7 @@
 //! End-to-end check of the scaling report: a small sweep runs, the JSON it
 //! would write parses, and the schema carries everything a reader of
-//! `BENCH_parallel.json` needs — the baseline label, the per-thread
-//! speedups, and the phase timings.
+//! `BENCH_parallel.json` needs — the baseline label (the engine at one
+//! worker), the per-thread speedups, and the phase timings.
 
 use acpp_bench::parallel::{run_scaling, BASELINE_KIND};
 use acpp_bench::BenchReport;
@@ -35,6 +35,8 @@ fn scaling_report_json_has_the_contract_fields() {
     assert_eq!(obj["name"].as_str(), Some("parallel"));
     let config = obj["config"].as_object().expect("config object");
     assert_eq!(config["baseline_kind"].as_str(), Some(BASELINE_KIND));
+    assert_eq!(BASELINE_KIND, "engine_t1");
+    assert_eq!(config["speedup_t1"].as_str(), Some("1.00"), "t1 is its own baseline");
     assert!(config["baseline_seconds"]
         .as_str()
         .and_then(|s| s.parse::<f64>().ok())

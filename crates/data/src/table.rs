@@ -210,6 +210,22 @@ impl Table {
         out
     }
 
+    /// A copy of this table without the rows `deleted` (strictly
+    /// increasing indices), the survivors in order, with room reserved for
+    /// `reserve` more rows. Equal to [`Table::select_rows`] over the
+    /// survivors, but each column is copied in the runs between deletions
+    /// instead of gathered row by row through an index.
+    pub fn without_rows(&self, deleted: &[usize], reserve: usize) -> Table {
+        debug_assert!(deleted.windows(2).all(|w| w[0] < w[1]), "deletions must be sorted");
+        let rows = self.len() - deleted.len() + reserve;
+        let mut out = Table::with_capacity(self.schema.clone(), rows);
+        for (dst, src) in out.columns.iter_mut().zip(&self.columns) {
+            copy_runs(dst, src, deleted);
+        }
+        copy_runs(&mut out.owners, &self.owners, deleted);
+        out
+    }
+
     /// Returns the row index of the (unique) row owned by `owner`, if any.
     pub fn row_of_owner(&self, owner: OwnerId) -> Option<usize> {
         self.owners.iter().position(|&o| o == owner)
@@ -255,6 +271,17 @@ impl Table {
         }
         ids.windows(2).all(|w| w[0] != w[1])
     }
+}
+
+/// Appends `src` to `dst` without the positions `skip` (strictly
+/// increasing), one slice copy per run between them.
+fn copy_runs<T: Copy>(dst: &mut Vec<T>, src: &[T], skip: &[usize]) {
+    let mut start = 0;
+    for &r in skip {
+        dst.extend_from_slice(&src[start..r]);
+        start = r + 1;
+    }
+    dst.extend_from_slice(&src[start..]);
 }
 
 #[cfg(test)]
@@ -310,6 +337,21 @@ mod tests {
         assert_eq!(s.len(), 2);
         assert_eq!(s.owner(0), OwnerId(2));
         assert_eq!(s.row(1), t.row(0));
+    }
+
+    #[test]
+    fn without_rows_equals_select_rows() {
+        let mut t = Table::new(schema());
+        for i in 0..7u32 {
+            t.push_row(OwnerId(10 + i), &[Value(i), Value(i % 2), Value(i % 4)]).unwrap();
+        }
+        let cases: [&[usize]; 5] = [&[], &[0], &[6], &[2, 3], &[0, 1, 5, 6]];
+        for deleted in cases {
+            let keep: Vec<usize> = t.rows().filter(|r| !deleted.contains(r)).collect();
+            let copied = t.without_rows(deleted, 3);
+            assert_eq!(copied, t.select_rows(&keep), "deleted {deleted:?}");
+            assert!(copied.owners.capacity() >= keep.len() + 3, "room for the inserts");
+        }
     }
 
     #[test]

@@ -83,32 +83,28 @@ pub(crate) fn apply_updates_classified(
                         "insert of already-present owner {owner}"
                     )));
                 }
-                inserts.push((*owner, row.clone()));
+                inserts.push((*owner, row.as_slice()));
             }
         }
     }
-    // One pass over the table: keep every surviving row, resolve deletes,
-    // and reject inserts of owners that are present and not deleted first
-    // (delete + re-insert in one batch models an in-place update). A row
-    // whose owner misses the batch's bitmap is untouched and skips both
-    // exact probes; the bitmap's hash needs no key, because a collision
-    // only sends a row on to the exact sets.
+    // One pass over the table: resolve deletes, and reject inserts of
+    // owners that are present and not deleted first (delete + re-insert in
+    // one batch models an in-place update). A row whose owner misses the
+    // batch's bitmap is untouched and skips both exact probes; the
+    // bitmap's hash needs no key, because a collision only sends a row on
+    // to the exact sets.
     let batch_filter = BatchFilter::new(deleted_owners.iter().chain(&insert_owners));
-    let mut keep = Vec::with_capacity(table.len());
     let mut deleted_rows = Vec::with_capacity(deleted_owners.len());
-    for r in table.rows() {
-        let owner = table.owner(r);
+    for (r, &owner) in table.owners().iter().enumerate() {
         if !batch_filter.may_contain(owner) {
-            keep.push(r);
-        } else if deleted_owners.contains(&owner) {
+            continue;
+        }
+        if deleted_owners.contains(&owner) {
             deleted_rows.push(r);
-        } else {
-            if insert_owners.contains(&owner) {
-                return Err(DataError::InvalidParameter(format!(
-                    "insert of already-present owner {owner}"
-                )));
-            }
-            keep.push(r);
+        } else if insert_owners.contains(&owner) {
+            return Err(DataError::InvalidParameter(format!(
+                "insert of already-present owner {owner}"
+            )));
         }
     }
     if deleted_rows.len() != deleted_owners.len() {
@@ -127,10 +123,12 @@ pub(crate) fn apply_updates_classified(
             _ => None,
         })
         .collect();
-    let mut next = table.select_rows(&keep);
+    // The survivors are copied column by column in the runs between the
+    // deleted rows, with room for the inserts at the tail.
+    let mut next = table.without_rows(&deleted_rows, inserts.len());
     let inserted_range = next.len()..next.len() + inserts.len();
     for (owner, row) in inserts {
-        next.push_row(owner, &row)?;
+        next.push_row(owner, row)?;
     }
     Ok(ClassifiedBatch { next, deleted_rows, departed, inserted_range })
 }

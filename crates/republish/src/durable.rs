@@ -162,7 +162,7 @@ impl ReleaseText {
         });
         self.lines.clear();
         if let Recoding::Boxes(part) = published.recoding() {
-            self.lines.resize(part.boxes().len(), 0..0);
+            self.lines.resize(part.len(), 0..0);
             let ends = self.starts.iter().skip(1).copied().chain([self.text.len()]);
             for ((t, &start), end) in tuples.iter().zip(&self.starts).zip(ends) {
                 if let Some(slot) =

@@ -103,7 +103,7 @@ impl Carry<'_> {
     /// with its size, and with its member rows if it is not carried.
     fn regions(&self) -> Vec<Region<'static>> {
         let mut region_of = vec![u32::MAX; self.carried.len()];
-        let mut regions: Vec<Region<'static>> = Vec::new();
+        let mut regions: Vec<Region<'static>> = Vec::with_capacity(self.carried.len());
         for (row, &leaf) in self.assignment.iter().enumerate() {
             let slot = &mut region_of[leaf as usize];
             if *slot == u32::MAX {
@@ -358,12 +358,13 @@ impl Republisher {
             .map_err(CoreError::Generalize)?;
         let inserted_rows: Vec<usize> = classified.inserted_range.clone().collect();
 
-        // Phase 2 as repair: clone the retained tree, patch it in place.
+        // Phase 2 as repair: built from the committed tree, which is only
+        // read, so a failed or dropped prepare leaves it as it was.
         // Deletions resolve through the tree's retained row→box assignment
         // (no per-row walks), and the repaired assignment then feeds
         // grouping directly.
-        let mut tree = state.tree.clone();
-        let (stats, carried_from) = tree
+        let (tree, stats, carried_from) = state
+            .tree
             .apply_delta(
                 &next,
                 next.schema(),
