@@ -27,7 +27,6 @@
 pub mod anatomy;
 pub mod error;
 pub mod incognito;
-pub mod layout;
 pub mod loss;
 pub mod mondrian;
 mod par;

@@ -36,7 +36,6 @@ use acpp_generalize::tds::{generalize, TdsOptions};
 use acpp_generalize::{Grouping, Recoding, Signature};
 use acpp_perturb::Channel;
 use rand::Rng;
-use std::borrow::Cow;
 use std::collections::{HashMap, HashSet};
 
 /// A release-independent identifier of a generalized region: the per-QI
@@ -89,6 +88,8 @@ impl RetainedState {
 struct Carry<'a> {
     /// The repaired partition's leaf for every row.
     assignment: &'a [u32],
+    /// The repaired partition's rows per leaf.
+    counts: &'a [usize],
     /// Per leaf: the previous release's sensitive value if the leaf is
     /// clean, `None` if Phase 3 elects in it.
     carried: Vec<Option<Value>>,
@@ -101,27 +102,56 @@ impl Carry<'_> {
     /// The regions, from one pass over the assignment: each leaf in order
     /// of first appearance (the group order of a from-scratch grouping)
     /// with its size, and with its member rows if it is not carried.
-    fn regions(&self) -> Vec<Region<'static>> {
-        let mut region_of = vec![u32::MAX; self.carried.len()];
-        let mut regions: Vec<Region<'static>> = Vec::with_capacity(self.carried.len());
+    ///
+    /// The members of every region that is not carried go into `members`,
+    /// one run per region at an offset assigned when its leaf first
+    /// appears and sized by the leaf's count, so the pass allocates once
+    /// whatever the churn.
+    ///
+    /// # Errors
+    /// [`CoreError::PostconditionViolated`] if a leaf's count differs from
+    /// the rows the assignment gives it.
+    fn regions<'m>(&self, members: &'m mut Vec<usize>) -> Result<Vec<Region<'m>>, CoreError> {
+        let elected = |leaf: usize| if self.carried[leaf].is_none() { self.counts[leaf] } else { 0 };
+        members.clear();
+        members.resize((0..self.counts.len()).map(elected).sum(), 0);
+        // Per region in order of first appearance: (leaf, size, offset of
+        // its members, room for members). A carried region has no room.
+        let mut runs: Vec<(u32, usize, usize, usize)> = Vec::with_capacity(self.counts.len());
+        let mut region_of = vec![u32::MAX; self.counts.len()];
+        let mut next = 0usize;
         for (row, &leaf) in self.assignment.iter().enumerate() {
             let slot = &mut region_of[leaf as usize];
             if *slot == u32::MAX {
-                *slot = regions.len() as u32;
-                regions.push(Region {
-                    signature: vec![leaf],
-                    size: 0,
-                    members: Cow::Owned(Vec::new()),
-                    carried: self.carried[leaf as usize],
-                });
+                *slot = runs.len() as u32;
+                let room = elected(leaf as usize);
+                runs.push((leaf, 0, next, room));
+                next += room;
             }
-            let region = &mut regions[*slot as usize];
-            region.size += 1;
-            if region.carried.is_none() {
-                region.members.to_mut().push(row);
+            let (_, size, at, room) = &mut runs[*slot as usize];
+            if *size < *room {
+                members[*at + *size] = row;
             }
+            *size += 1;
         }
-        regions
+        let members: &'m [usize] = members;
+        runs.into_iter()
+            .map(|(leaf, size, at, room)| {
+                let leaf = leaf as usize;
+                if size != self.counts[leaf] {
+                    return Err(CoreError::PostconditionViolated(format!(
+                        "leaf {leaf} holds {size} rows but the repaired tree counts {}",
+                        self.counts[leaf]
+                    )));
+                }
+                Ok(Region {
+                    signature: vec![leaf as u32],
+                    size,
+                    members: &members[at..at + room],
+                    carried: self.carried[leaf],
+                })
+            })
+            .collect()
     }
 }
 
@@ -130,7 +160,7 @@ struct Region<'a> {
     signature: Signature,
     size: usize,
     /// Member rows in ascending order; empty when the region is carried.
-    members: Cow<'a, [usize]>,
+    members: &'a [usize],
     /// The sensitive value a carried region republishes.
     carried: Option<Value>,
 }
@@ -376,6 +406,7 @@ impl Republisher {
         let recoding = tree.recoding();
         let carry = state.leaf_sensitive.as_ref().map(|prev| Carry {
             assignment: tree.assignment(),
+            counts: tree.counts(),
             carried: carried_from
                 .iter()
                 .map(|&from| if from == u32::MAX { None } else { prev.get(from as usize).copied() })
@@ -443,6 +474,7 @@ impl Republisher {
         };
 
         let (grouping, signatures);
+        let mut members = Vec::new();
         let regions: Vec<Region<'_>> = match &carry {
             None => {
                 (grouping, signatures) =
@@ -452,12 +484,12 @@ impl Republisher {
                     .map(|(gid, members)| Region {
                         signature: signatures[gid.index()].clone(),
                         size: members.len(),
-                        members: Cow::Borrowed(members),
+                        members,
                         carried: None,
                     })
                     .collect()
             }
-            Some(carry) => carry.regions(),
+            Some(carry) => carry.regions(&mut members)?,
         };
         if regions.iter().any(|r| r.size < self.config.k) {
             return Err(CoreError::PostconditionViolated(format!(
@@ -476,7 +508,7 @@ impl Republisher {
             let sensitive = match region.carried {
                 Some(value) => value,
                 None => {
-                    let members = &region.members;
+                    let members = region.members;
                     let key = region_key(&recoding, taxonomies, &region.signature, qi_arity);
                     let keep = self.representatives.get(&key).and_then(|&owner| {
                         members.iter().copied().find(|&r| table.owner(r) == owner)
@@ -1146,6 +1178,36 @@ mod tests {
             matches!(err, RepublishError::Core(CoreError::PostconditionViolated(_))),
             "{err:?}"
         );
+    }
+
+    /// Region members land in one buffer, laid out by leaf counts in order
+    /// of first appearance; a count the assignment contradicts is a typed
+    /// error rather than a member list cut short or overrun.
+    #[test]
+    fn carry_regions_follow_the_leaf_counts() {
+        let assignment = [1u32, 0, 2, 1, 0, 1];
+        let carried = vec![None, None, Some(Value(7))];
+        let carry =
+            Carry { assignment: &assignment, counts: &[2, 3, 1], carried, staged_from: 6 };
+        let mut members = Vec::new();
+        let regions = carry.regions(&mut members).unwrap();
+        let seen: Vec<(Signature, usize, Vec<usize>, Option<Value>)> = regions
+            .iter()
+            .map(|r| (r.signature.clone(), r.size, r.members.to_vec(), r.carried))
+            .collect();
+        assert_eq!(
+            seen,
+            vec![
+                (vec![1], 3, vec![0, 3, 5], None),
+                (vec![0], 2, vec![1, 4], None),
+                (vec![2], 1, vec![], Some(Value(7))),
+            ]
+        );
+        for counts in [[2usize, 2, 1], [2, 4, 1], [2, 3, 0]] {
+            let bad = Carry { counts: &counts, carried: vec![None, None, Some(Value(7))], ..carry };
+            let err = bad.regions(&mut members).err();
+            assert!(matches!(err, Some(CoreError::PostconditionViolated(_))), "{counts:?}: {err:?}");
+        }
     }
 
     #[test]
