@@ -37,7 +37,8 @@ fn bench_tds(c: &mut Criterion) {
 fn bench_grouping_and_principles(c: &mut Criterion) {
     let table = sal::generate(SalConfig { rows: 20_000, seed: 5 });
     let taxonomies = sal::qi_taxonomies();
-    let recoding = partition(&table, table.schema(), MondrianConfig::new(6)).unwrap();
+    let (tree, _) = partition(&table, table.schema(), MondrianConfig::new(6)).unwrap();
+    let recoding = tree.into_recoding();
     c.bench_function("group_20k", |b| {
         b.iter(|| recoding.group(&table, &taxonomies));
     });

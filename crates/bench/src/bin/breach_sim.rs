@@ -60,8 +60,8 @@ fn lemma1() {
 fn lemma2(rows: usize, seed: u64) {
     println!("== Lemma 2: any generalization vs full corruption ==");
     let t = sal::generate(SalConfig { rows, seed });
-    let recoding =
-        partition(&t, t.schema(), MondrianConfig::new(6)).expect("partition succeeds");
+    let (tree, _) = partition(&t, t.schema(), MondrianConfig::new(6)).expect("partition succeeds");
+    let recoding = tree.into_recoding();
     let (grouping, _) = recoding.group(&t, &sal::qi_taxonomies());
     println!(
         "Conventional 6-anonymous Mondrian generalization of SAL ({rows} rows, \

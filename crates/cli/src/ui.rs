@@ -48,13 +48,6 @@ impl Ui {
         }
     }
 
-    /// Extra detail: stderr, only with `--verbose`.
-    pub fn detail(&self, msg: impl Display) {
-        if self.verbose {
-            eprintln!("{msg}");
-        }
-    }
-
     /// A pre-formatted multi-line detail block: stderr, only with
     /// `--verbose`.
     pub fn detail_block(&self, text: impl Display) {

@@ -34,7 +34,7 @@ use crate::validate::validate_run;
 use acpp_data::{substream_seed, Table, Taxonomy, Value};
 use acpp_generalize::incognito::{self, LatticeOptions};
 use acpp_generalize::mondrian::{self, MondrianConfig};
-use acpp_generalize::scheme::{check_taxonomies, group_from_box_assignment_threaded};
+use acpp_generalize::scheme::{check_taxonomies, group_from_box_assignment};
 use acpp_generalize::tds::{self, TdsOptions};
 use acpp_generalize::{GroupId, Grouping, Recoding, Signature};
 use acpp_obs::{metrics, FieldValue, Telemetry};
@@ -653,18 +653,14 @@ fn phase2_group(
     workers: usize,
 ) -> Result<(Recoding, Grouping, Vec<Signature>), acpp_generalize::GeneralizeError> {
     if config.algorithm == Phase2Algorithm::Mondrian && !table.is_empty() {
-        let (recoding, box_of_row, _) = mondrian::partition_with_assignment(
+        let (tree, _) = mondrian::partition(
             table,
             table.schema(),
             MondrianConfig::new(config.k).with_threads(workers),
         )?;
-        let n_boxes = match &recoding {
-            Recoding::Boxes(part) => part.len(),
-            _ => 0,
-        };
         let (grouping, signatures) =
-            group_from_box_assignment_threaded(&box_of_row, n_boxes, workers);
-        return Ok((recoding, grouping, signatures));
+            group_from_box_assignment(tree.assignment(), tree.len(), workers);
+        return Ok((tree.into_recoding(), grouping, signatures));
     }
     let recoding = match config.algorithm {
         // Degenerate: an empty table publishes nothing.

@@ -17,14 +17,11 @@
 //!   reference [13]);
 //! * [`principles`] — `k`-anonymity, the `l`-diversity family, and
 //!   t-closeness, used by the negative results of Section III;
-//! * [`anatomy`] — the Anatomy bucketization method (reference [31]), a
-//!   non-generalization comparator that corruption also defeats;
 //! * [`loss`] — information-loss metrics (discernibility, NCP).
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
-pub mod anatomy;
 pub mod error;
 pub mod incognito;
 pub mod loss;
@@ -36,6 +33,6 @@ pub mod scheme;
 pub mod tds;
 
 pub use error::GeneralizeError;
-pub use mondrian::{partition_retained, RepairStats, RetainedTree};
+pub use mondrian::{partition, RepairStats, RetainedTree};
 pub use qigroup::{GroupId, Grouping};
 pub use scheme::{BoxPartition, QiBox, Recoding, Signature};

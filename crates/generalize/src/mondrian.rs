@@ -13,8 +13,9 @@
 //!
 //! # Execution model
 //!
-//! Row sets are **disjoint ranges of a shared row-major scratch matrix**
-//! (`n × d` QI codes): the recursion allocates no per-child row vectors,
+//! Row sets are **disjoint ranges of a shared row-major scratch matrix**:
+//! `n` rows, each its `d` QI codes followed by its row id (`d + 1` words).
+//! The recursion allocates no per-child row vectors,
 //! and because a node's rows are *contiguous in memory*, every histogram
 //! and partition pass is a sequential scan. Boxes are flat too: every
 //! box's bounds sit in one `Vec<u32>` with stride `2d` (see [`QiBox`]),
@@ -135,8 +136,7 @@ struct Cutter<'a> {
     /// QI arity (always ≥ 1 on this path; `d == 0` short-circuits before a
     /// `Cutter` is ever built).
     d: usize,
-    /// Matrix row width: `d`, or `d + 1` when the last entry of each row
-    /// carries the original row id (the assignment-emitting build).
+    /// Matrix row width, `d + 1`: the `d` QI codes, then the row id.
     stride: usize,
     domain_sizes: &'a [u32],
     k: usize,
@@ -149,10 +149,11 @@ struct Cutter<'a> {
 }
 
 impl<'a> Cutter<'a> {
-    fn new(d: usize, stride: usize, domain_sizes: &'a [u32], k: usize) -> Self {
+    fn new(domain_sizes: &'a [u32], k: usize) -> Self {
+        let d = domain_sizes.len();
         Cutter {
             d,
-            stride,
+            stride: d + 1,
             domain_sizes,
             k,
             hist: Vec::new(),
@@ -289,9 +290,9 @@ impl<'a> Cutter<'a> {
 /// see [`QiBox`]) and per-box row counts, in pre-order. Because the
 /// recursion splits its contiguous row range left|right and numbers boxes
 /// pre-order, box `b` covers the `counts[b]` scratch rows immediately
-/// after box `b - 1`'s — the invariant the assignment extraction in
-/// [`partition_with_assignment`] reads off. `counts` has one entry per
-/// box, so its length is the box count.
+/// after box `b - 1`'s — the invariant the assignment read-off of
+/// [`partition`] relies on. `counts` has one entry per box, so its length
+/// is the box count.
 struct SeqArena {
     nodes: Vec<SplitNode>,
     bounds: Vec<u32>,
@@ -376,8 +377,6 @@ pub struct BuildStats {
     /// Parallel work items executed across all passes (0 for the
     /// sequential path).
     pub tasks: usize,
-    /// Successful steals from the shared deque (== tasks in this topology).
-    pub steals: usize,
     /// Frontier levels processed by Stage A.
     pub levels: usize,
     /// Scratch-fill chunks (the sharded columnar→row-major transpose).
@@ -388,18 +387,16 @@ pub struct BuildStats {
     pub scatter_items: usize,
     /// Below-grain sequential subtree tasks run by Stage B.
     pub subtree_tasks: usize,
-    /// Assignment read-off chunks (only the assignment-emitting build).
+    /// Assignment read-off chunks (0 when the read-off runs on one thread).
     pub readoff_items: usize,
 }
 
-/// Splits `buf` (a row-major matrix of `stride`-wide rows) into mutable
-/// row-range slices. `ranges` are `(start_row, row_len)` pairs, sorted by
-/// start and pairwise disjoint; zero-length ranges are fine.
-fn carve_rows<'s>(
-    buf: &'s mut [u32],
-    stride: usize,
-    ranges: &[(usize, usize)],
-) -> Vec<&'s mut [u32]> {
+/// Splits `buf` (a scratch matrix over `d` QI positions, so `d + 1`-wide
+/// rows) into mutable row-range slices. `ranges` are `(start_row,
+/// row_len)` pairs, sorted by start and pairwise disjoint; zero-length
+/// ranges are fine.
+fn carve_rows<'s>(buf: &'s mut [u32], d: usize, ranges: &[(usize, usize)]) -> Vec<&'s mut [u32]> {
+    let stride = d + 1;
     let mut out = Vec::with_capacity(ranges.len());
     let mut rest: &'s mut [u32] = buf;
     let mut pos = 0usize;
@@ -425,8 +422,8 @@ struct SubtreeRun {
 
 /// Builds one subtree per task with the sequential recursion: Stage B of
 /// [`build_parallel`] and the recut step of [`RetainedTree::apply_delta`].
-/// Task `i` cuts `rows[i]` (a row-major slice of `stride`-wide rows)
-/// within box `i` of `bounds`. Each worker keeps one `Cutter`, one
+/// Task `i` cuts `rows[i]` (a row-major slice of scratch rows) within box
+/// `i` of `bounds`. Each worker keeps one `Cutter`, one
 /// `SeqArena` and one mutable box across all its tasks, so a task
 /// allocates nothing of its own. Returns each task's [`SubtreeRun`] in
 /// task order and the per-worker arenas in worker order.
@@ -435,7 +432,6 @@ fn build_subtrees(
     threads: usize,
     domain_sizes: &[u32],
     k: usize,
-    stride: usize,
     bounds: &[u32],
     rows: Vec<&mut [u32]>,
 ) -> (Vec<SubtreeRun>, Vec<SeqArena>) {
@@ -444,7 +440,7 @@ fn build_subtrees(
         phase,
         threads,
         rows.into_iter().enumerate().collect(),
-        |worker| (worker, Cutter::new(d, stride, domain_sizes, k), SeqArena::new(), Vec::new()),
+        |worker| (worker, Cutter::new(domain_sizes, k), SeqArena::new(), Vec::new()),
         |(_, rows)| (rows.len() * 4) as u64,
         |state, _, (i, rows)| {
             let (worker, cutter, arena, bx) = state;
@@ -470,8 +466,6 @@ fn build_subtrees(
 /// the assignment back).
 #[allow(clippy::too_many_arguments)]
 fn build_parallel(
-    d: usize,
-    stride: usize,
     domain_sizes: &[u32],
     k: usize,
     threads: usize,
@@ -481,6 +475,8 @@ fn build_parallel(
     root_box: Vec<u32>,
     n: usize,
 ) -> (SeqArena, Vec<bool>, usize, BuildStats, Vec<u32>) {
+    let d = domain_sizes.len();
+    let stride = d + 1;
     let w = 2 * d;
     let mut scratch2 = vec![0u32; scratch.len()];
     let mut slots: Vec<Slot> = vec![Slot::Pending];
@@ -493,7 +489,7 @@ fn build_parallel(
     let mut subtree_tasks: Vec<SubtreeTask> = Vec::new();
     let mut stats = BuildStats::default();
     let mut flip = false;
-    let mut cutter = Cutter::new(d, stride, domain_sizes, k);
+    let mut cutter = Cutter::new(domain_sizes, k);
 
     // --- Stage A: frontier levels with intra-node parallelism. ---
     while !level.is_empty() {
@@ -683,7 +679,7 @@ fn build_parallel(
             }
             flat.sort_unstable_by_key(|&(s, l, _, _)| (s, l));
             let ranges: Vec<(usize, usize)> = flat.iter().map(|&(s, l, _, _)| (s, l)).collect();
-            let carved = carve_rows(dst, stride, &ranges);
+            let carved = carve_rows(dst, d, &ranges);
             let mut left_slices: Vec<Option<&mut [u32]>> = (0..plan.len()).map(|_| None).collect();
             let mut right_slices: Vec<Option<&mut [u32]>> = (0..plan.len()).map(|_| None).collect();
             for (slice, &(_, _, j, is_right)) in carved.into_iter().zip(&flat) {
@@ -764,7 +760,7 @@ fn build_parallel(
                     (t.start, t.end - t.start)
                 })
                 .collect();
-            for (slice, &i) in carve_rows(buf, stride, &ranges).into_iter().zip(&idxs) {
+            for (slice, &i) in carve_rows(buf, d, &ranges).into_iter().zip(&idxs) {
                 slices[i] = Some(slice);
             }
         }
@@ -775,8 +771,7 @@ fn build_parallel(
             slices.into_iter().map(|slice| slice.expect("task slice")).collect();
         let n_sub = rows.len();
         let runs;
-        (runs, arenas) =
-            build_subtrees(PROF_PHASE, threads, domain_sizes, k, stride, &task_bounds, rows);
+        (runs, arenas) = build_subtrees(PROF_PHASE, threads, domain_sizes, k, &task_bounds, rows);
         stats.subtree_tasks += n_sub;
         stats.tasks += n_sub;
         for (t, run) in subtree_tasks.iter().zip(runs) {
@@ -784,7 +779,6 @@ fn build_parallel(
         }
     }
 
-    stats.steals = stats.tasks;
     let mut out = SeqArena::new();
     let mut parities: Vec<bool> = Vec::new();
     let root = flatten(&mut slots, 0, &arenas, &leaf_bounds, d, &mut out, &mut parities);
@@ -855,7 +849,8 @@ fn flatten(
 }
 
 /// Partitions a table's QI space into a strict Mondrian box partition with
-/// at least `k` tuples per box.
+/// at least `k` tuples per box, and returns it as a [`RetainedTree`] with
+/// the build's parallel-execution statistics.
 ///
 /// ```
 /// use acpp_data::{Attribute, Domain, OwnerId, Schema, Table, Taxonomy, Value};
@@ -870,162 +865,41 @@ fn flatten(
 /// for i in 0..16u32 {
 ///     table.push_row(OwnerId(i), &[Value(i % 8), Value(i % 3)])?;
 /// }
-/// let recoding = partition(&table, table.schema(), MondrianConfig::new(4))?;
+/// let (tree, _) = partition(&table, table.schema(), MondrianConfig::new(4))?;
+/// assert_eq!(tree.assignment().len(), table.len());
 /// let taxonomies = vec![Taxonomy::intervals(8, 2)];
-/// let (grouping, _) = recoding.group(&table, &taxonomies);
+/// let (grouping, _) = tree.into_recoding().group(&table, &taxonomies);
 /// assert!(is_k_anonymous(&grouping, 4));
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
 ///
-/// Returns a [`Recoding::Boxes`]. Errors if the table has fewer than `k`
-/// rows (property G2 unsatisfiable) or `k == 0`. The output is independent
-/// of [`MondrianConfig::threads`] (see the module docs for why).
+/// The tree holds the partition, each box's row count, and each row's box
+/// ([`RetainedTree::assignment`]): `assignment[row] == b` means row `row`
+/// of `table` falls in box `b`, exactly what `BoxPartition::locate` would
+/// say, but produced as a by-product of the build instead of a per-row
+/// tree walk. Each row's index rides along as the last column of the
+/// scratch matrix, and because the build splits contiguous ranges
+/// left|right while boxes are numbered pre-order, box `b`'s rows end up as
+/// the `b`-th contiguous positional run of the matrix (in whichever
+/// ping-pong buffer the box's parity names); the assignment is read off in
+/// sharded streaming passes. A publisher keeps the tree to repair the
+/// partition on later releases ([`RetainedTree::apply_delta`]).
+///
+/// Errors if the table has fewer than `k` rows (property G2 unsatisfiable)
+/// or `k == 0`. The tree is independent of [`MondrianConfig::threads`]
+/// (see the module docs for why); only the statistics depend on it.
 pub fn partition(
     table: &Table,
     schema: &Schema,
     config: MondrianConfig,
-) -> Result<Recoding, GeneralizeError> {
-    partition_with_stats(table, schema, config).map(|(r, _)| r)
-}
-
-/// [`partition`], additionally reporting parallel-execution statistics.
-pub fn partition_with_stats(
-    table: &Table,
-    schema: &Schema,
-    config: MondrianConfig,
-) -> Result<(Recoding, BuildStats), GeneralizeError> {
-    let built = build_partition(table, schema, config, false)?;
-    Ok((Recoding::Boxes(built.part), built.stats))
-}
-
-/// [`partition`], additionally reporting each row's leaf-box index (and the
-/// parallel-execution statistics).
-///
-/// `assignment[row] == b` means row `row` of `table` falls in box `b` of the
-/// returned partition — exactly what `BoxPartition::locate` would say, but
-/// produced as a by-product of the build instead of a per-row tree walk.
-/// Each row's original index rides along as an extra matrix column through
-/// the build, and because the build splits contiguous ranges left|right
-/// while boxes are numbered pre-order, box `b`'s rows end up as the `b`-th
-/// contiguous positional run of the scratch matrix (in whichever ping-pong
-/// buffer the box's parity names); the assignment is read off in sharded
-/// streaming passes. The partition (and the assignment) are byte-identical
-/// to the plain [`partition`] + locate path at any thread count.
-pub fn partition_with_assignment(
-    table: &Table,
-    schema: &Schema,
-    config: MondrianConfig,
-) -> Result<(Recoding, Vec<u32>, BuildStats), GeneralizeError> {
-    let mut built = build_partition(table, schema, config, true)?;
-    let assignment = read_off_assignment(&mut built, table.len(), config);
-    Ok((Recoding::Boxes(built.part), assignment, built.stats))
-}
-
-/// Reads the row→box assignment off a `with_ids` build's scratch buffers
-/// (see [`partition_with_assignment`] for the layout argument). Shared by
-/// the one-shot and the retained-tree entry points.
-fn read_off_assignment(built: &mut Built, n: usize, config: MondrianConfig) -> Vec<u32> {
-    let mut assignment = vec![0u32; n];
-    if built.stride > built.d {
-        let stride = built.stride;
-        let d = built.d;
-        // Box b's rows sit at positional rows [starts[b], starts[b+1]) of
-        // the buffer its parity names.
-        let mut starts: Vec<usize> = Vec::with_capacity(built.counts.len() + 1);
-        let mut acc = 0usize;
-        for &c in &built.counts {
-            starts.push(acc);
-            acc += c;
-        }
-        starts.push(acc);
-        let buf_of = |b: usize| -> &[u32] {
-            if built.parities.get(b).copied().unwrap_or(false) { &built.scratch2 } else { &built.scratch }
-        };
-        if config.threads <= 1 {
-            for b in 0..built.counts.len() {
-                let buf = buf_of(b);
-                for row in buf[starts[b] * stride..starts[b + 1] * stride].chunks_exact(stride) {
-                    assignment[row[d] as usize] = b as u32;
-                }
-            }
-        } else {
-            // Sharded read-off: chunk the box list into runs of roughly
-            // chunk_rows rows; each item scatters its boxes' row ids into
-            // a shared atomic assignment (each row id written exactly
-            // once, so ordering is irrelevant).
-            let (_, chunk_rows) = config.grains();
-            let mut items: Vec<(usize, usize)> = Vec::new(); // box ranges [lo, hi)
-            let mut lo = 0usize;
-            while lo < built.counts.len() {
-                let mut hi = lo;
-                let mut rows = 0usize;
-                while hi < built.counts.len() && (rows == 0 || rows + built.counts[hi] <= chunk_rows)
-                {
-                    rows += built.counts[hi];
-                    hi += 1;
-                }
-                items.push((lo, hi));
-                lo = hi;
-            }
-            let atoms: Vec<AtomicU32> = (0..n).map(|_| AtomicU32::new(0)).collect();
-            let n_items = items.len();
-            let starts_ref = &starts;
-            let atoms_ref = &atoms;
-            run_items(
-                PROF_PHASE,
-                config.threads,
-                items,
-                |_| (),
-                |&(lo, hi)| ((starts_ref[hi] - starts_ref[lo]) * stride * 4) as u64,
-                |_, _, (lo, hi)| {
-                    for b in lo..hi {
-                        let buf = buf_of(b);
-                        let span = &buf[starts_ref[b] * stride..starts_ref[b + 1] * stride];
-                        for row in span.chunks_exact(stride) {
-                            atoms_ref[row[d] as usize].store(b as u32, Ordering::Relaxed);
-                        }
-                    }
-                },
-            );
-            for (slot, a) in assignment.iter_mut().zip(atoms) {
-                *slot = a.into_inner();
-            }
-            built.stats.readoff_items += n_items;
-            built.stats.tasks += n_items;
-            built.stats.steals = built.stats.tasks;
-        }
-    }
-    assignment
-}
-
-/// Output of [`build_partition`]: the tree plus the raw build artefacts the
-/// assignment extraction needs (per-box counts, per-box buffer parities,
-/// and both ping-pong buffers; `scratch2` and `parities` are empty on the
-/// sequential path, where every box lives in `scratch`).
-struct Built {
-    part: BoxPartition,
-    counts: Vec<usize>,
-    parities: Vec<bool>,
-    scratch: Vec<u32>,
-    scratch2: Vec<u32>,
-    d: usize,
-    stride: usize,
-    stats: BuildStats,
-}
-
-fn build_partition(
-    table: &Table,
-    schema: &Schema,
-    config: MondrianConfig,
-    with_ids: bool,
-) -> Result<Built, GeneralizeError> {
+) -> Result<(RetainedTree, BuildStats), GeneralizeError> {
     if config.k == 0 {
         return Err(GeneralizeError::InvalidParameter("k must be at least 1".into()));
     }
-    if table.len() < config.k {
+    let n = table.len();
+    if n < config.k {
         return Err(GeneralizeError::Unsatisfiable(format!(
-            "table has {} rows but k = {}",
-            table.len(),
+            "table has {n} rows but k = {}",
             config.k
         )));
     }
@@ -1034,31 +908,132 @@ fn build_partition(
         .iter()
         .map(|&c| schema.attribute(c).domain().size())
         .collect();
-    let d = domain_sizes.len();
-    if d == 0 {
+    if domain_sizes.is_empty() {
         // No QI attributes: the whole (empty) QI space is one box, and every
-        // row trivially falls in it (the zeroed assignment is correct).
-        let part = BoxPartition::trivial(&domain_sizes);
-        return Ok(Built {
-            part,
-            counts: vec![table.len()],
-            parities: Vec::new(),
-            scratch: Vec::new(),
-            scratch2: Vec::new(),
-            d,
-            stride: 0,
-            stats: BuildStats::default(),
-        });
+        // row falls in it.
+        let tree = RetainedTree {
+            part: BoxPartition::trivial(&domain_sizes),
+            counts: vec![n],
+            assignment: vec![0; n],
+            domain_sizes,
+        };
+        return Ok((tree, BuildStats::default()));
     }
-    let stride = if with_ids { d + 1 } else { d };
+    let mut built = build_partition(table, schema, &domain_sizes, config);
+    let assignment = read_off_assignment(&mut built, n, config);
+    let tree = RetainedTree { part: built.part, counts: built.counts, assignment, domain_sizes };
+    Ok((tree, built.stats))
+}
+
+/// Reads the row→box assignment off the build's scratch buffers (see
+/// [`partition`] for the layout argument).
+fn read_off_assignment(built: &mut Built, n: usize, config: MondrianConfig) -> Vec<u32> {
+    let mut assignment = vec![0u32; n];
+    let d = built.d;
+    let stride = d + 1;
+    // Box b's rows sit at positional rows [starts[b], starts[b+1]) of the
+    // buffer its parity names.
+    let mut starts: Vec<usize> = Vec::with_capacity(built.counts.len() + 1);
+    let mut acc = 0usize;
+    for &c in &built.counts {
+        starts.push(acc);
+        acc += c;
+    }
+    starts.push(acc);
+    let buf_of = |b: usize| -> &[u32] {
+        if built.parities.get(b).copied().unwrap_or(false) { &built.scratch2 } else { &built.scratch }
+    };
+    if config.threads <= 1 {
+        for b in 0..built.counts.len() {
+            let buf = buf_of(b);
+            for row in buf[starts[b] * stride..starts[b + 1] * stride].chunks_exact(stride) {
+                assignment[row[d] as usize] = b as u32;
+            }
+        }
+        return assignment;
+    }
+    // Sharded read-off: chunk the box list into runs of roughly chunk_rows
+    // rows; each item scatters its boxes' row ids into a shared atomic
+    // assignment (each row id written exactly once, so ordering is
+    // irrelevant).
+    let (_, chunk_rows) = config.grains();
+    let mut items: Vec<(usize, usize)> = Vec::new(); // box ranges [lo, hi)
+    let mut lo = 0usize;
+    while lo < built.counts.len() {
+        let mut hi = lo;
+        let mut rows = 0usize;
+        while hi < built.counts.len() && (rows == 0 || rows + built.counts[hi] <= chunk_rows) {
+            rows += built.counts[hi];
+            hi += 1;
+        }
+        items.push((lo, hi));
+        lo = hi;
+    }
+    let atoms: Vec<AtomicU32> = (0..n).map(|_| AtomicU32::new(0)).collect();
+    let n_items = items.len();
+    let starts_ref = &starts;
+    let atoms_ref = &atoms;
+    run_items(
+        PROF_PHASE,
+        config.threads,
+        items,
+        |_| (),
+        |&(lo, hi)| ((starts_ref[hi] - starts_ref[lo]) * stride * 4) as u64,
+        |_, _, (lo, hi)| {
+            for b in lo..hi {
+                let buf = buf_of(b);
+                let span = &buf[starts_ref[b] * stride..starts_ref[b + 1] * stride];
+                for row in span.chunks_exact(stride) {
+                    atoms_ref[row[d] as usize].store(b as u32, Ordering::Relaxed);
+                }
+            }
+        },
+    );
+    for (slot, a) in assignment.iter_mut().zip(atoms) {
+        *slot = a.into_inner();
+    }
+    built.stats.readoff_items += n_items;
+    built.stats.tasks += n_items;
+    assignment
+}
+
+/// Output of [`build_partition`]: the tree plus the raw build artefacts the
+/// assignment read-off needs (per-box counts, per-box buffer parities, and
+/// both ping-pong buffers; `scratch2` and `parities` are empty on the
+/// sequential path, where every box lives in `scratch`).
+struct Built {
+    part: BoxPartition,
+    counts: Vec<usize>,
+    parities: Vec<bool>,
+    scratch: Vec<u32>,
+    scratch2: Vec<u32>,
+    d: usize,
+    stats: BuildStats,
+}
+
+/// The build behind [`partition`] for `d ≥ 1` QI attributes and a table of
+/// at least `k ≥ 1` rows.
+///
+/// Tables under `2 · grain` rows, and every build at one thread, take the
+/// plain sequential recursion: one `SeqArena`, no pool, no slot tree and
+/// no second scratch buffer. Larger tables at more threads take the
+/// two-stage frontier build of [`build_parallel`]. Both pick the same cuts.
+fn build_partition(
+    table: &Table,
+    schema: &Schema,
+    domain_sizes: &[u32],
+    config: MondrianConfig,
+) -> Built {
+    let d = domain_sizes.len();
+    let stride = d + 1;
     let n = table.len();
     let (grain, chunk_rows) = config.grains();
     let parallel = config.threads > 1 && n >= 2 * grain;
 
-    // The shared scratch matrix: the table's QI codes in row-major order
-    // (plus the row id as a trailing column when `with_ids`). The
-    // columnar→row-major transpose is itself sharded on the parallel path —
-    // it is an O(n·d) bookend that used to run single-threaded.
+    // The shared scratch matrix: the table's QI codes in row-major order,
+    // each row followed by its row id. The columnar→row-major transpose is
+    // itself sharded on the parallel path — it is an O(n·d) bookend that
+    // used to run single-threaded.
     let mut scratch: Vec<u32> = vec![0u32; n * stride];
     let cols: Vec<&[u32]> = schema.qi_indices().iter().map(|&c| table.column(c)).collect();
     let fill_items = {
@@ -1079,39 +1054,34 @@ fn build_partition(
                     for (dim, col) in cols_ref.iter().enumerate() {
                         row[dim] = col[r];
                     }
-                    if with_ids {
-                        row[d] = r as u32;
-                    }
+                    row[d] = r as u32;
                 }
             },
         );
         n_items
     };
-    let mut root_box = full_bounds(&domain_sizes);
+    let mut root_box = full_bounds(domain_sizes);
 
     if !parallel {
         // Sequential path: the recursion itself, no pool, no slot tree.
-        let mut cutter = Cutter::new(d, stride, &domain_sizes, config.k);
+        let mut cutter = Cutter::new(domain_sizes, config.k);
         let mut arena = SeqArena::new();
         let root = arena.build(&mut cutter, &mut root_box, &mut scratch);
         let part = BoxPartition::new(arena.nodes, d, arena.bounds, root);
         debug_assert!(part.check().is_ok());
-        return Ok(Built {
+        return Built {
             part,
             counts: arena.counts,
             parities: Vec::new(),
             scratch,
             scratch2: Vec::new(),
             d,
-            stride,
             stats: BuildStats::default(),
-        });
+        };
     }
 
     let (arena, parities, root, mut stats, scratch2) = build_parallel(
-        d,
-        stride,
-        &domain_sizes,
+        domain_sizes,
         config.k,
         config.threads,
         grain,
@@ -1122,10 +1092,9 @@ fn build_partition(
     );
     stats.fill_items = fill_items;
     stats.tasks += fill_items;
-    stats.steals = stats.tasks;
     let part = BoxPartition::new(arena.nodes, d, arena.bounds, root);
     debug_assert!(part.check().is_ok());
-    Ok(Built { part, counts: arena.counts, parities, scratch, scratch2, d, stride, stats })
+    Built { part, counts: arena.counts, parities, scratch, scratch2, d, stats }
 }
 
 /// Profiler phase label for the retained-tree repair passes of
@@ -1217,34 +1186,6 @@ pub struct RetainedTree {
     domain_sizes: Vec<u32>,
 }
 
-/// [`partition`], additionally returning the retained tree a publisher
-/// needs to repair this partition incrementally on later releases.
-///
-/// The recoding and the tree describe the same partition: `recoding`'s box
-/// `b` is box `b` of `tree.recoding()`, and `tree` additionally knows how
-/// many rows each box holds and which box each row of `table` falls in
-/// ([`RetainedTree::assignment`]).
-pub fn partition_retained(
-    table: &Table,
-    schema: &Schema,
-    config: MondrianConfig,
-) -> Result<(Recoding, RetainedTree), GeneralizeError> {
-    let mut built = build_partition(table, schema, config, true)?;
-    let assignment = read_off_assignment(&mut built, table.len(), config);
-    let domain_sizes: Vec<u32> = schema
-        .qi_indices()
-        .iter()
-        .map(|&c| schema.attribute(c).domain().size())
-        .collect();
-    let tree = RetainedTree {
-        part: built.part.clone(),
-        counts: built.counts,
-        assignment,
-        domain_sizes,
-    };
-    Ok((Recoding::Boxes(built.part), tree))
-}
-
 /// Where a flatten frame reads its subtree from: the retained tree, or a
 /// worker's arena of re-cut subtrees.
 enum FlattenSrc {
@@ -1272,6 +1213,11 @@ impl RetainedTree {
     /// box bounds (box indices match [`RetainedTree::counts`]).
     pub fn recoding(&self) -> Recoding {
         Recoding::Boxes(self.part.clone())
+    }
+
+    /// The partition as a recoding, moved out of the tree without a copy.
+    pub fn into_recoding(self) -> Recoding {
+        Recoding::Boxes(self.part)
     }
 
     /// Appends the bounds of a subtree's box to `out`. The leaf boxes under
@@ -1667,9 +1613,8 @@ impl RetainedTree {
             config.threads.max(1),
             &self.domain_sizes,
             k,
-            stride,
             &recut_bounds,
-            carve_rows(&mut gathered, stride, &ranges),
+            carve_rows(&mut gathered, d, &ranges),
         );
 
         // Phase 4 — flatten: write the repaired tree out pre-order,
@@ -1855,9 +1800,8 @@ mod tests {
         let t = sal::generate(SalConfig { rows: 4_000, seed: 77 });
         for threads in [1usize, 2, 4] {
             let cfg = MondrianConfig::new(8).with_threads(threads);
-            let (r, assignment, _) = partition_with_assignment(&t, t.schema(), cfg).unwrap();
-            let (r_plain, _) = partition_with_stats(&t, t.schema(), cfg).unwrap();
-            assert_eq!(r, r_plain, "id column must not change the tree (t={threads})");
+            let (tree, _) = partition(&t, t.schema(), cfg).unwrap();
+            let (r, assignment) = (tree.recoding(), tree.assignment());
             let Recoding::Boxes(part) = &r else { panic!("expected boxes") };
             let qi_cols: Vec<&[u32]> =
                 t.schema().qi_indices().iter().map(|&c| t.column(c)).collect();
@@ -1877,10 +1821,12 @@ mod tests {
         // and the parity-tracked read-off at small n.
         let t = sal::generate(SalConfig { rows: 3_000, seed: 5 });
         let base = MondrianConfig::new(4);
-        let (r_seq, a_seq, _) = partition_with_assignment(&t, t.schema(), base).unwrap();
+        let (seq, _) = partition(&t, t.schema(), base).unwrap();
+        let (r_seq, a_seq) = (seq.recoding(), seq.assignment());
         for threads in [2usize, 3, 8] {
             let cfg = base.with_threads(threads).with_grain(32);
-            let (r, a, stats) = partition_with_assignment(&t, t.schema(), cfg).unwrap();
+            let (tree, stats) = partition(&t, t.schema(), cfg).unwrap();
+            let (r, a) = (tree.recoding(), tree.assignment());
             assert_eq!(r, r_seq, "threads={threads}");
             assert_eq!(a, a_seq, "threads={threads}");
             assert!(stats.hist_items > 0 && stats.subtree_tasks > 0, "{stats:?}");
@@ -1897,10 +1843,12 @@ mod tests {
         for i in 0..20_000u32 {
             t.push_row(OwnerId(i), &[Value((i % 2) * 8), Value(3), Value(i % 4)]).unwrap();
         }
-        let seq = partition_with_assignment(&t, t.schema(), MondrianConfig::new(4)).unwrap();
+        let (seq_tree, _) = partition(&t, t.schema(), MondrianConfig::new(4)).unwrap();
+        let seq = (seq_tree.recoding(), seq_tree.assignment());
         for threads in [2usize, 4, 8] {
             let cfg = MondrianConfig::new(4).with_threads(threads);
-            let (r, assignment, _) = partition_with_assignment(&t, t.schema(), cfg).unwrap();
+            let (tree, _) = partition(&t, t.schema(), cfg).unwrap();
+            let (r, assignment) = (tree.recoding(), tree.assignment());
             assert_eq!(r, seq.0, "threads={threads}");
             assert_eq!(assignment, seq.1, "threads={threads}");
             let Recoding::Boxes(part) = &r else { panic!("expected boxes") };
@@ -1913,7 +1861,7 @@ mod tests {
         let t = grid_table(16); // 256 rows on a 16x16 grid
         let taxes = vec![Taxonomy::intervals(16, 2), Taxonomy::intervals(16, 2)];
         for k in [1usize, 2, 5, 10, 40] {
-            let r = partition(&t, t.schema(), MondrianConfig::new(k)).unwrap();
+            let r = partition(&t, t.schema(), MondrianConfig::new(k)).unwrap().0.into_recoding();
             let (g, _) = r.group(&t, &taxes);
             assert!(is_k_anonymous(&g, k), "k={k}");
             assert!(g.validate());
@@ -1930,8 +1878,8 @@ mod tests {
     #[test]
     fn small_k_gives_fine_partition() {
         let t = grid_table(16);
-        let r1 = partition(&t, t.schema(), MondrianConfig::new(1)).unwrap();
-        let r10 = partition(&t, t.schema(), MondrianConfig::new(10)).unwrap();
+        let r1 = partition(&t, t.schema(), MondrianConfig::new(1)).unwrap().0.into_recoding();
+        let r10 = partition(&t, t.schema(), MondrianConfig::new(10)).unwrap().0.into_recoding();
         let (n1, n10) = match (&r1, &r10) {
             (Recoding::Boxes(a), Recoding::Boxes(b)) => (a.len(), b.len()),
             _ => unreachable!(),
@@ -1945,7 +1893,7 @@ mod tests {
     fn groups_are_boxes_of_at_least_k() {
         let t = grid_table(8);
         let taxes = vec![Taxonomy::intervals(16, 2), Taxonomy::intervals(16, 2)];
-        let r = partition(&t, t.schema(), MondrianConfig::new(6)).unwrap();
+        let r = partition(&t, t.schema(), MondrianConfig::new(6)).unwrap().0.into_recoding();
         let (g, sigs) = r.group(&t, &taxes);
         for (gid, members) in g.iter_nonempty() {
             assert!(members.len() >= 6);
@@ -1981,7 +1929,7 @@ mod tests {
         for i in 0..20u32 {
             t.push_row(OwnerId(i), &[Value(3), Value(3), Value(i % 4)]).unwrap();
         }
-        let r = partition(&t, t.schema(), MondrianConfig::new(2)).unwrap();
+        let r = partition(&t, t.schema(), MondrianConfig::new(2)).unwrap().0.into_recoding();
         match &r {
             Recoding::Boxes(p) => assert_eq!(p.len(), 1),
             _ => unreachable!(),
@@ -1992,7 +1940,7 @@ mod tests {
     fn sal_partition_produces_small_boxes() {
         let t = sal::generate(SalConfig { rows: 5_000, seed: 9 });
         let taxes = sal::qi_taxonomies();
-        let r = partition(&t, t.schema(), MondrianConfig::new(6)).unwrap();
+        let r = partition(&t, t.schema(), MondrianConfig::new(6)).unwrap().0.into_recoding();
         let (g, _) = r.group(&t, &taxes);
         assert!(is_k_anonymous(&g, 6));
         let avg = crate::loss::average_group_size(&g);
@@ -2003,14 +1951,15 @@ mod tests {
     fn parallel_partition_is_byte_identical() {
         let t = sal::generate(SalConfig { rows: 40_000, seed: 4 });
         for k in [2usize, 7, 25] {
-            let seq = partition(&t, t.schema(), MondrianConfig::new(k)).unwrap();
+            let seq = partition(&t, t.schema(), MondrianConfig::new(k)).unwrap().0;
             for threads in [2usize, 3, 8] {
                 let par = partition(
                     &t,
                     t.schema(),
                     MondrianConfig::new(k).with_threads(threads),
                 )
-                .unwrap();
+                .unwrap()
+                .0;
                 assert_eq!(seq, par, "k={k} threads={threads}");
             }
         }
@@ -2019,22 +1968,20 @@ mod tests {
     #[test]
     fn parallel_path_actually_runs_tasks() {
         let t = sal::generate(SalConfig { rows: 40_000, seed: 4 });
-        let (_, stats) = partition_with_stats(
+        let (_, stats) = partition(
             &t,
             t.schema(),
             MondrianConfig::new(2).with_threads(4),
         )
         .unwrap();
         assert!(stats.tasks > 1, "expected parallel work items, got {stats:?}");
-        assert_eq!(stats.tasks, stats.steals);
         assert!(stats.levels > 0, "{stats:?}");
         assert!(stats.fill_items > 0, "{stats:?}");
         assert!(stats.hist_items > 0, "above-grain nodes histogram in chunks: {stats:?}");
         assert!(stats.scatter_items > 0, "above-grain splits scatter in chunks: {stats:?}");
         assert!(stats.subtree_tasks > 0, "below-grain subtrees fan out: {stats:?}");
         // The sequential path reports no tasks.
-        let (_, seq_stats) =
-            partition_with_stats(&t, t.schema(), MondrianConfig::new(2)).unwrap();
+        let (_, seq_stats) = partition(&t, t.schema(), MondrianConfig::new(2)).unwrap();
         assert_eq!(seq_stats, BuildStats::default());
     }
 
@@ -2072,11 +2019,12 @@ mod tests {
     }
 
     #[test]
-    fn partition_retained_matches_partition() {
+    fn retained_tree_matches_its_recoding() {
         let t = sal::generate(SalConfig { rows: 3_000, seed: 9 });
         let cfg = MondrianConfig::new(6);
-        let plain = partition(&t, t.schema(), cfg).unwrap();
-        let (r, tree) = partition_retained(&t, t.schema(), cfg).unwrap();
+        let plain = partition(&t, t.schema(), cfg).unwrap().0.into_recoding();
+        let (tree, _) = partition(&t, t.schema(), cfg).unwrap();
+        let r = tree.recoding();
         assert_eq!(r, plain);
         assert_eq!(r, tree.recoding());
         assert_eq!(tree.counts().iter().sum::<usize>(), t.len());
@@ -2087,7 +2035,7 @@ mod tests {
     fn empty_delta_is_identity() {
         let t = grid_table(16);
         let cfg = MondrianConfig::new(5);
-        let (_, before) = partition_retained(&t, t.schema(), cfg).unwrap();
+        let (before, _) = partition(&t, t.schema(), cfg).unwrap();
         let (tree, stats, carried_from) =
             before.apply_delta(&t, t.schema(), &[], &[], cfg).unwrap();
         assert_eq!(tree, before, "empty delta must not move a single box");
@@ -2101,7 +2049,7 @@ mod tests {
     fn untouched_leaves_keep_their_boxes() {
         let t = sal::generate(SalConfig { rows: 2_000, seed: 3 });
         let cfg = MondrianConfig::new(8);
-        let (_, before) = partition_retained(&t, t.schema(), cfg).unwrap();
+        let (before, _) = partition(&t, t.schema(), cfg).unwrap();
         // Delete three scattered rows, insert three near-copies of others.
         let (mut next, dels) = delete_rows(&t, &[10, 500, 1500]);
         let base = next.len();
@@ -2156,7 +2104,7 @@ mod tests {
     fn underfull_leaf_merges_up_to_k() {
         let t = grid_table(16); // 256 rows
         let cfg = MondrianConfig::new(4);
-        let (_, tree) = partition_retained(&t, t.schema(), cfg).unwrap();
+        let (tree, _) = partition(&t, t.schema(), cfg).unwrap();
         // Empty out one whole leaf: find the first box and delete all its
         // rows; the leaf goes to zero and must merge into an ancestor.
         let Recoding::Boxes(part) = tree.recoding() else { panic!("expected boxes") };
@@ -2174,7 +2122,7 @@ mod tests {
     fn overfull_leaf_recuts() {
         let t = grid_table(16);
         let cfg = MondrianConfig::new(4);
-        let (_, tree) = partition_retained(&t, t.schema(), cfg).unwrap();
+        let (tree, _) = partition(&t, t.schema(), cfg).unwrap();
         let leaves_before = tree.len();
         // Pile 40 new rows spread across the corner leaf's box; with the
         // extra mass the leaf admits new median cuts and must refine.
@@ -2200,7 +2148,7 @@ mod tests {
     fn repair_is_thread_invariant() {
         let t = sal::generate(SalConfig { rows: 4_000, seed: 41 });
         let cfg1 = MondrianConfig::new(6);
-        let (_, tree0) = partition_retained(&t, t.schema(), cfg1).unwrap();
+        let (tree0, _) = partition(&t, t.schema(), cfg1).unwrap();
         // A churn batch big enough to force merges and recuts.
         let victims: Vec<usize> = (0..400).map(|i| i * 7 % t.len()).collect();
         let mut dedup = victims.clone();
@@ -2232,22 +2180,22 @@ mod tests {
     fn inconsistent_delta_is_rejected() {
         let t = grid_table(16);
         let cfg = MondrianConfig::new(4);
-        let (_, tree) = partition_retained(&t, t.schema(), cfg).unwrap();
+        let (tree, _) = partition(&t, t.schema(), cfg).unwrap();
         // Claiming a deletion without actually shrinking the table makes
         // the row arithmetic come out wrong.
         let err = tree.apply_delta(&t, t.schema(), &[], &[0], cfg).unwrap_err();
         assert!(matches!(err, GeneralizeError::InvalidParameter(_)), "{err:?}");
         // A deleted index past the previous version's end.
-        let (_, tree) = partition_retained(&t, t.schema(), cfg).unwrap();
+        let (tree, _) = partition(&t, t.schema(), cfg).unwrap();
         let err = tree.apply_delta(&t, t.schema(), &[], &[t.len()], cfg).unwrap_err();
         assert!(matches!(err, GeneralizeError::InvalidParameter(_)), "{err:?}");
         // Deleted indices out of order (or duplicated) are rejected.
-        let (_, tree) = partition_retained(&t, t.schema(), cfg).unwrap();
+        let (tree, _) = partition(&t, t.schema(), cfg).unwrap();
         let (next, _) = delete_rows(&t, &[3, 5]);
         let err = tree.apply_delta(&next, next.schema(), &[], &[5, 3], cfg).unwrap_err();
         assert!(matches!(err, GeneralizeError::InvalidParameter(_)), "{err:?}");
         // Inserted rows must name the post-delta tail, in order.
-        let (_, tree) = partition_retained(&t, t.schema(), cfg).unwrap();
+        let (tree, _) = partition(&t, t.schema(), cfg).unwrap();
         let err = tree.apply_delta(&t, t.schema(), &[0], &[t.len() - 1], cfg).unwrap_err();
         assert!(matches!(err, GeneralizeError::InvalidParameter(_)), "{err:?}");
     }
@@ -2256,7 +2204,7 @@ mod tests {
     fn shrinking_below_k_is_unsatisfiable() {
         let t = grid_table(4); // 16 rows
         let cfg = MondrianConfig::new(8);
-        let (_, tree) = partition_retained(&t, t.schema(), cfg).unwrap();
+        let (tree, _) = partition(&t, t.schema(), cfg).unwrap();
         let (next, dels) = delete_rows(&t, &(0..10).collect::<Vec<_>>());
         let err = tree.apply_delta(&next, next.schema(), &[], &dels, cfg).unwrap_err();
         assert!(matches!(err, GeneralizeError::Unsatisfiable(_)), "{err:?}");
@@ -2267,7 +2215,7 @@ mod tests {
         let prof = acpp_obs::prof::profiler();
         let t = grid_table(16);
         let cfg = MondrianConfig::new(4);
-        let (_, tree) = partition_retained(&t, t.schema(), cfg).unwrap();
+        let (tree, _) = partition(&t, t.schema(), cfg).unwrap();
         let mut next = t.clone();
         let base = next.len();
         for i in 0..40u32 {
@@ -2281,5 +2229,39 @@ mod tests {
             samples.iter().any(|s| s.phase == PROF_REPAIR),
             "repair passes must attribute to {PROF_REPAIR}"
         );
+    }
+
+    #[test]
+    fn zero_qi_build_is_one_box() {
+        // A schema whose only attribute is the sensitive one: the build and
+        // the repair both short-circuit to the single total box.
+        let schema = Schema::new(vec![Attribute::sensitive("S", Domain::indexed(4))]).unwrap();
+        let mut t = Table::new(schema);
+        for i in 0..12u32 {
+            t.push_row(OwnerId(i), &[Value(i % 4)]).unwrap();
+        }
+        for threads in [1usize, 4] {
+            let cfg = MondrianConfig::new(3).with_threads(threads);
+            let (tree, _) = partition(&t, t.schema(), cfg).unwrap();
+            assert_eq!(tree.len(), 1, "threads={threads}");
+            assert_eq!(tree.counts(), [t.len()]);
+            assert_eq!(tree.assignment(), vec![0; t.len()]);
+
+            let (mut next, dels) = delete_rows(&t, &[5]);
+            next.push_row(OwnerId(100), &[Value(2)]).unwrap();
+            let inserted = [next.len() - 1];
+            let (repaired, stats, carried_from) =
+                tree.apply_delta(&next, next.schema(), &inserted, &dels, cfg).unwrap();
+            assert_eq!(repaired.len(), 1);
+            assert_eq!(repaired.counts(), [next.len()]);
+            assert_eq!(carried_from, [u32::MAX], "a touched box is not carried");
+            assert_eq!(stats.carried_leaves, 0);
+
+            let (same, stats, carried_from) =
+                tree.apply_delta(&t, t.schema(), &[], &[], cfg).unwrap();
+            assert_eq!(same, tree);
+            assert_eq!(carried_from, [0], "an empty batch carries the box");
+            assert_eq!(stats.carried_leaves, 1);
+        }
     }
 }

@@ -397,29 +397,21 @@ fn group_boxes(part: &BoxPartition, table: &Table) -> (Grouping, Vec<Signature>)
     (Grouping::from_assignment(assignment, signatures.len()), signatures)
 }
 
-/// Builds a grouping straight from a per-row box assignment, as produced by
-/// [`crate::mondrian::partition_with_assignment`]. Group ids are assigned in
-/// order of first appearance over rows and each group's signature is its box
-/// index — bit-identical to what [`Recoding::group`] computes for the same
-/// partition, without the per-row tree walk.
-pub fn group_from_box_assignment(
-    box_of_row: &[u32],
-    n_boxes: usize,
-) -> (Grouping, Vec<Signature>) {
-    group_from_box_assignment_threaded(box_of_row, n_boxes, 1)
-}
-
-/// Fixed shard width (rows) for [`group_from_box_assignment_threaded`]'s
+/// Fixed shard width (rows) for [`group_from_box_assignment`]'s
 /// parallel passes. The output is provably identical for *any* chunking
 /// (see the function docs); a fixed width just keeps profiler samples
 /// comparable across runs.
 const GROUP_CHUNK_ROWS: usize = 16_384;
 
-/// [`group_from_box_assignment`] with sharded parallel passes — the
-/// O(n) grouping bookend that used to run single-threaded after a
-/// parallel Mondrian build.
+/// Builds a grouping straight from a per-row box assignment, as produced by
+/// [`crate::mondrian::partition`] ([`crate::RetainedTree::assignment`]).
+/// Group ids are assigned in order of first appearance over rows and each
+/// group's signature is its box index — bit-identical to what
+/// [`Recoding::group`] computes for the same partition, without the
+/// per-row tree walk.
 ///
-/// Three passes: (1) each row shard reports its distinct boxes in
+/// With `threads > 1` and enough rows the grouping runs in three sharded
+/// passes: (1) each row shard reports its distinct boxes in
 /// shard-local first-appearance order with per-shard counts (per-worker
 /// stamp arrays make this allocation-free after warm-up); (2) a
 /// sequential merge walks the shard lists in shard order, assigning group
@@ -433,7 +425,7 @@ const GROUP_CHUNK_ROWS: usize = 16_384;
 ///
 /// Shards record profiler samples under the `phase.generalize` label
 /// ([`crate::mondrian::PROF_PHASE`]) like every other Mondrian pass.
-pub fn group_from_box_assignment_threaded(
+pub fn group_from_box_assignment(
     box_of_row: &[u32],
     n_boxes: usize,
     threads: usize,
@@ -683,10 +675,9 @@ mod tests {
         let n_boxes = 211usize;
         let box_of_row: Vec<u32> =
             (0..n).map(|i| ((i * 2_654_435_761) % n_boxes) as u32).collect();
-        let (g_seq, s_seq) = group_from_box_assignment(&box_of_row, n_boxes);
+        let (g_seq, s_seq) = group_from_box_assignment(&box_of_row, n_boxes, 1);
         for threads in [2usize, 3, 8] {
-            let (g, s) =
-                group_from_box_assignment_threaded(&box_of_row, n_boxes, threads);
+            let (g, s) = group_from_box_assignment(&box_of_row, n_boxes, threads);
             assert_eq!(s, s_seq, "threads={threads}");
             assert_eq!(g, g_seq, "threads={threads}");
         }

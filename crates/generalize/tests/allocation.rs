@@ -68,15 +68,17 @@ fn partition_allocates_linear_not_depth_scaled() {
     // here) dominate everything else.
     let config = MondrianConfig::new(64);
     let (result, bytes, calls) = measured(|| partition(&table, &schema, config));
-    let recoding = result.expect("partition succeeds");
-    drop(recoding);
+    let tree = result.expect("partition succeeds");
+    drop(tree);
 
-    // Budget: the scratch index buffer is 8n bytes; histograms, box clones,
-    // dim-order scratch, and the node/box arenas add small per-node terms.
-    // The pre-rewrite code allocated O(n · depth) ≈ 8n·log2(n/k) bytes
-    // (~5.6 MB here) in cloned row vectors alone; 40 bytes/row (~2 MB)
-    // cleanly separates the two regimes.
-    let byte_budget = 40 * n;
+    // Budget: the scratch matrix holds each row's SAL QI codes plus its row
+    // id, 4(d + 1) = 36 bytes per row, and the row→box assignment adds 4
+    // more; histograms, box clones, dim-order scratch, and the node/box
+    // arenas add small per-node terms. The pre-rewrite code allocated
+    // O(n · depth) ≈ 8n·log2(n/k) bytes (~5.6 MB, 112 bytes/row here) in
+    // cloned row vectors alone; 48 bytes/row (~2.4 MB) cleanly separates
+    // the two regimes.
+    let byte_budget = 48 * n;
     assert!(
         bytes <= byte_budget,
         "partition allocated {bytes} bytes for {n} rows (budget {byte_budget})"
@@ -96,18 +98,13 @@ fn partition_allocates_linear_not_depth_scaled() {
     // decomposition (chunks + subtree tasks + boxes) and the pool
     // (workers × passes), never with n·depth. Measured in the same test
     // function because the counters are process-global. ---
-    use acpp_generalize::mondrian::partition_with_assignment;
     let workers = 4usize;
     let par_cfg = MondrianConfig::new(64).with_threads(workers);
-    let (result, par_bytes, par_calls) =
-        measured(|| partition_with_assignment(&table, &schema, par_cfg));
-    let (recoding, assignment, stats) = result.expect("parallel partition succeeds");
+    let (result, par_bytes, par_calls) = measured(|| partition(&table, &schema, par_cfg));
+    let (tree, stats) = result.expect("parallel partition succeeds");
     assert!(stats.tasks > 0, "parallel machinery must engage: {stats:?}");
-    assert_eq!(assignment.len(), n);
-    let n_boxes = match &recoding {
-        acpp_generalize::Recoding::Boxes(p) => p.len(),
-        _ => unreachable!(),
-    };
+    assert_eq!(tree.assignment().len(), n);
+    let n_boxes = tree.len();
 
     // Byte budget: two ping-pong buffers at stride d+1 (72n here), the
     // atomic + plain assignment vectors (8n), per-chunk histogram partials

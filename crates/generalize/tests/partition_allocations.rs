@@ -47,9 +47,9 @@ fn partition_allocations(rows: usize) -> usize {
     let schema = table.schema().clone();
     CALLS.store(0, Ordering::SeqCst);
     ENABLED.store(true, Ordering::SeqCst);
-    let recoding = partition(&table, &schema, MondrianConfig::new(8));
+    let built = partition(&table, &schema, MondrianConfig::new(8));
     ENABLED.store(false, Ordering::SeqCst);
-    recoding.expect("partition succeeds");
+    built.expect("partition succeeds");
     CALLS.load(Ordering::SeqCst)
 }
 

@@ -8,10 +8,10 @@
 //! temporaries, authorized by a durable intent manifest, then renamed into
 //! place. A crash at any instant leaves the directory in one of exactly two
 //! observable states — the release fully present *with* its bookkeeping
-//! entry, or fully absent *without* one. There is no window in which an
-//! m-invariance release exists on disk that the bookkeeping does not
-//! account for (the failure mode that would let an adversary diff an
-//! unaccounted release against the next one).
+//! entry, or fully absent *without* one. There is no window in which a
+//! release exists on disk that the bookkeeping does not account for (the
+//! failure mode that would let an adversary diff an unaccounted release
+//! against the next one).
 //!
 //! In-memory cross-release state (the persistent-perturbation memo, the
 //! representative memo, and the retained partition with the leaf values a

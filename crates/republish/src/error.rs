@@ -4,8 +4,7 @@ use acpp_core::CoreError;
 use acpp_data::DataError;
 use std::fmt;
 
-/// Failure modes of the re-publication pipeline and the m-invariance
-/// repartitioner.
+/// Failure modes of the re-publication pipeline.
 #[derive(Debug, Clone, PartialEq)]
 pub enum RepublishError {
     /// The underlying single-release PG pipeline failed.
@@ -13,8 +12,6 @@ pub enum RepublishError {
     /// A release was requested over a table whose schema disagrees with the
     /// series (the paper's model fixes the schema across releases).
     SchemaDrift(String),
-    /// The m-invariance repartitioner could not satisfy its invariant.
-    Unsatisfiable(String),
     /// A parameter outside its documented range.
     InvalidParameter(String),
     /// Durable release commit failed ([`crate::durable`]): staging, the
@@ -29,7 +26,6 @@ impl fmt::Display for RepublishError {
         match self {
             RepublishError::Core(e) => write!(f, "{e}"),
             RepublishError::SchemaDrift(msg) => write!(f, "schema drift across releases: {msg}"),
-            RepublishError::Unsatisfiable(msg) => write!(f, "m-invariance unsatisfiable: {msg}"),
             RepublishError::InvalidParameter(msg) => write!(f, "invalid parameter: {msg}"),
             RepublishError::Io(e) => write!(f, "durable release commit failed: {e}"),
         }

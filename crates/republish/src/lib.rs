@@ -18,11 +18,7 @@
 //!   with a prepare/commit split so cross-release state advances only
 //!   after a release durably lands;
 //! * [`durable`] — a [`durable::SeriesPublisher`] committing each release
-//!   and the series bookkeeping atomically (together or not at all);
-//! * [`minvariance`] — the m-uniqueness / m-invariance conditions of
-//!   Xiao–Tao (SIGMOD 2007, reference [22] of the paper) with a
-//!   counterfeit-based repartitioning algorithm, the complementary defense
-//!   for the generalization-only world.
+//!   and the series bookkeeping atomically (together or not at all).
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
@@ -31,7 +27,6 @@ pub mod composition;
 pub mod delta;
 pub mod durable;
 pub mod error;
-pub mod minvariance;
 pub mod persistent;
 pub mod series;
 

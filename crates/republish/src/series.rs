@@ -30,8 +30,8 @@ use acpp_core::published::{PublishedTable, PublishedTuple};
 use acpp_core::{CoreError, Phase2Algorithm, PgConfig, Threads};
 use acpp_data::{OwnerId, Table, Taxonomy, Value};
 use acpp_generalize::incognito::{full_domain, LatticeOptions};
-use acpp_generalize::mondrian::{partition_retained, MondrianConfig, RepairStats, RetainedTree};
-use acpp_generalize::scheme::group_from_box_assignment_threaded;
+use acpp_generalize::mondrian::{partition, MondrianConfig, RepairStats, RetainedTree};
+use acpp_generalize::scheme::group_from_box_assignment;
 use acpp_generalize::tds::{generalize, TdsOptions};
 use acpp_generalize::{Grouping, Recoding, Signature};
 use acpp_perturb::Channel;
@@ -303,17 +303,17 @@ impl Republisher {
                 if table.is_empty() {
                     (Recoding::total(taxonomies), None)
                 } else {
-                    let (recoding, tree) = partition_retained(
+                    let (tree, _) = partition(
                         table,
                         table.schema(),
                         MondrianConfig::new(self.config.k).with_threads(self.threads.resolve()),
                     )?;
-                    grouped = Some(group_from_box_assignment_threaded(
+                    grouped = Some(group_from_box_assignment(
                         tree.assignment(),
                         tree.len(),
                         self.threads.resolve(),
                     ));
-                    (recoding, Some(tree))
+                    (tree.recoding(), Some(tree))
                 }
             }
             Phase2Algorithm::Tds => {

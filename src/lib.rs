@@ -25,8 +25,8 @@
 //! * [`mining`] — decision-tree mining used to measure utility
 //!   (Section VII);
 //! * [`republish`] — re-publication of evolving microdata (the paper's
-//!   Section IX future work): persistent perturbation, m-invariance, and
-//!   the composition attack that motivates both.
+//!   Section IX future work): persistent perturbation, incremental delta
+//!   repair, and the composition attack that motivates them.
 //!
 //! See `examples/` for runnable walkthroughs and `crates/bench` for the
 //! binaries that regenerate every table and figure of the paper.

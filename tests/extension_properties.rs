@@ -1,10 +1,9 @@
 //! Property-based tests over the extension modules: COUNT-query
-//! estimation, persistent perturbation, Anatomy, EMD/t-closeness, and the
+//! estimation, persistent perturbation, EMD/t-closeness, and the
 //! composition posterior.
 
 use acpp::data::{Attribute, Domain, OwnerId, Schema, Table, Taxonomy, Value};
-use acpp::generalize::anatomy::anatomize;
-use acpp::generalize::principles::{emd_nominal, emd_ordered, is_distinct_l_diverse};
+use acpp::generalize::principles::{emd_nominal, emd_ordered};
 use acpp::mining::queries::{estimate_count, CountQuery};
 use acpp::perturb::Channel;
 use acpp::republish::composition::fresh_noise_posterior;
@@ -111,39 +110,6 @@ proptest! {
             prop_assert_eq!(pc.apply(&mut rng, OwnerId(owner), Value(value)), first);
         }
         prop_assert_eq!(pc.memoized(), 1);
-    }
-
-    /// Anatomy either produces an l-diverse grouping covering every row, or
-    /// correctly reports ineligibility.
-    #[test]
-    fn anatomy_is_l_diverse_or_ineligible(
-        rows in 10usize..200,
-        seed in 0u64..300,
-        l in 2usize..5,
-        us in 3u32..10,
-    ) {
-        let table = random_table(rows, seed, us);
-        match anatomize(&table, l) {
-            Ok(rel) => {
-                prop_assert!(rel.grouping.validate());
-                prop_assert_eq!(rel.grouping.row_count(), rows);
-                prop_assert!(is_distinct_l_diverse(&table, &rel.grouping, l));
-            }
-            Err(acpp::generalize::GeneralizeError::Unsatisfiable(_)) => {
-                // Must actually be ineligible: some value above |D|/l, or
-                // fewer than l distinct values.
-                let mut counts = vec![0usize; us as usize];
-                for r in table.rows() {
-                    counts[table.sensitive_value(r).index()] += 1;
-                }
-                let distinct = counts.iter().filter(|&&c| c > 0).count();
-                prop_assert!(
-                    distinct < l || counts.iter().any(|&c| c * l > rows),
-                    "eligible table rejected"
-                );
-            }
-            Err(e) => return Err(TestCaseError::fail(format!("unexpected: {e}"))),
-        }
     }
 
     /// EMD properties: identity, symmetry, bounded by 1, and ordered EMD

@@ -136,7 +136,8 @@ fn theorem1_holds_for_composite_predicates() {
 fn lemma2_breaks_conventional_generalization_at_any_k() {
     let w = world(1_200, 33);
     for k in [2usize, 10, 50] {
-        let recoding = partition(&w.table, w.table.schema(), MondrianConfig::new(k)).unwrap();
+        let (tree, _) = partition(&w.table, w.table.schema(), MondrianConfig::new(k)).unwrap();
+        let recoding = tree.into_recoding();
         let (grouping, _) = recoding.group(&w.table, &w.taxonomies);
         // Larger k means MORE victims share a group — and yet exact
         // reconstruction still succeeds for every one of them.

@@ -11,9 +11,8 @@
 use acpp::core::journal::{publish_journaled, read_state, resume, CrashPoint, RunOptions};
 use acpp::core::{DegradationPolicy, PgConfig, Threads};
 use acpp::data::sal::{self, SalConfig};
-use acpp::generalize::mondrian::{partition_with_assignment, MondrianConfig};
-use acpp::generalize::scheme::{group_from_box_assignment, group_from_box_assignment_threaded};
-use acpp::generalize::Recoding;
+use acpp::generalize::mondrian::{partition, MondrianConfig};
+use acpp::generalize::scheme::group_from_box_assignment;
 use proptest::prelude::*;
 use std::fs;
 use std::path::PathBuf;
@@ -46,12 +45,12 @@ proptest! {
     ) {
         let table = sal::generate(SalConfig { rows, seed: world_seed });
         let seq_cfg = MondrianConfig::new(k);
-        let (r_seq, a_seq, _) =
-            partition_with_assignment(&table, table.schema(), seq_cfg).unwrap();
+        let (seq, _) = partition(&table, table.schema(), seq_cfg).unwrap();
+        let (r_seq, a_seq) = (seq.recoding(), seq.assignment());
         for t in THREAD_COUNTS {
             let cfg = MondrianConfig::new(k).with_threads(t).with_grain(grain);
-            let (r, a, stats) =
-                partition_with_assignment(&table, table.schema(), cfg).unwrap();
+            let (tree, stats) = partition(&table, table.schema(), cfg).unwrap();
+            let (r, a) = (tree.recoding(), tree.assignment());
             prop_assert_eq!(&r_seq, &r);
             prop_assert_eq!(&a_seq, &a);
             // The low grain must actually engage the parallel machinery.
@@ -72,19 +71,15 @@ proptest! {
         let table = sal::generate(SalConfig { rows, seed: world_seed });
         let taxes = sal::qi_taxonomies();
         let cfg = MondrianConfig::new(k).with_threads(7).with_grain(16);
-        let (recoding, box_of_row, _) =
-            partition_with_assignment(&table, table.schema(), cfg).unwrap();
-        let n_boxes = match &recoding {
-            Recoding::Boxes(part) => part.len(),
-            _ => unreachable!("mondrian returns boxes"),
-        };
-        let (g_seq, s_seq) = group_from_box_assignment(&box_of_row, n_boxes);
+        let (tree, _) = partition(&table, table.schema(), cfg).unwrap();
+        let (box_of_row, n_boxes) = (tree.assignment(), tree.len());
+        let (g_seq, s_seq) = group_from_box_assignment(box_of_row, n_boxes, 1);
         for t in THREAD_COUNTS {
-            let (g, s) = group_from_box_assignment_threaded(&box_of_row, n_boxes, t);
+            let (g, s) = group_from_box_assignment(box_of_row, n_boxes, t);
             prop_assert_eq!(&g_seq, &g);
             prop_assert_eq!(&s_seq, &s);
         }
-        let (g_walk, s_walk) = recoding.group(&table, &taxes);
+        let (g_walk, s_walk) = tree.recoding().group(&table, &taxes);
         prop_assert_eq!(&g_seq, &g_walk);
         prop_assert_eq!(&s_seq, &s_walk);
     }

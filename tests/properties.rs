@@ -161,7 +161,8 @@ proptest! {
         }
         prop_assume!(rows >= k);
         let taxes = vec![Taxonomy::intervals(16, 2), Taxonomy::intervals(9, 3)];
-        let recoding = partition(&table, table.schema(), MondrianConfig::new(k)).unwrap();
+        let (tree, _) = partition(&table, table.schema(), MondrianConfig::new(k)).unwrap();
+        let recoding = tree.into_recoding();
         let (grouping, _) = recoding.group(&table, &taxes);
         prop_assert!(is_k_anonymous(&grouping, k));
         prop_assert!(grouping.validate());

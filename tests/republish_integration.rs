@@ -4,13 +4,10 @@
 use acpp::attack::{attack, BackgroundKnowledge, CorruptionSet, ExternalDatabase, Predicate};
 use acpp::core::{GuaranteeParams, PgConfig};
 use acpp::data::sal::{self, SalConfig};
-use acpp::data::{OwnerId, Value};
-use acpp::republish::minvariance::{
-    is_m_invariant, is_m_unique, republish_m_invariant,
-};
+use acpp::data::OwnerId;
 use acpp::republish::{apply_updates, Republisher, Update};
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::SeedableRng;
 
 #[test]
 fn release_series_stays_within_theorem_bounds_for_a_tracked_victim() {
@@ -83,83 +80,4 @@ fn release_series_stays_within_theorem_bounds_for_a_tracked_victim() {
         distinct.len() <= 2,
         "persistent series leaked too many observations: {observations:?}"
     );
-}
-
-#[test]
-fn m_invariant_series_survives_random_update_streams() {
-    // Property-style loop: random insert/delete streams over many rounds;
-    // every consecutive release pair must be jointly m-invariant.
-    let m = 3;
-    let mut rng = StdRng::seed_from_u64(31);
-    let schema = acpp::data::Schema::new(vec![
-        acpp::data::Attribute::quasi("Q", acpp::data::Domain::indexed(4096)),
-        acpp::data::Attribute::sensitive("S", acpp::data::Domain::indexed(8)),
-    ])
-    .unwrap();
-    let mut table = acpp::data::Table::new(schema);
-    for i in 0..120u32 {
-        table
-            .push_row(OwnerId(i), &[Value(i), Value(rng.gen_range(0..8))])
-            .unwrap();
-    }
-    let mut next_owner = 1_000u32;
-    let mut next_q = 200u32;
-
-    // Bootstrap against no history.
-    let release0 = republish_m_invariant(&std::collections::HashMap::new(), &table, m).unwrap();
-    let mut prev_table = table.clone();
-    let mut prev_grouping = release0.grouping(&table);
-    let mut prev_sigs = release0.owner_signatures(&table);
-    assert!(is_m_unique(&prev_table, &prev_grouping, m));
-
-    for round in 0..6 {
-        // Random churn.
-        let mut updates = Vec::new();
-        for _ in 0..rng.gen_range(1..6) {
-            let row = rng.gen_range(0..prev_table.len());
-            let owner = prev_table.owner(row);
-            if updates.iter().all(|u| !matches!(u, Update::Delete(o) if *o == owner)) {
-                updates.push(Update::Delete(owner));
-            }
-        }
-        for _ in 0..rng.gen_range(1..6) {
-            updates.push(Update::Insert {
-                owner: OwnerId(next_owner),
-                row: vec![Value(next_q), Value(rng.gen_range(0..8))],
-            });
-            next_owner += 1;
-            next_q += 1;
-        }
-        let next_table = apply_updates(&prev_table, &updates).unwrap();
-        let release = republish_m_invariant(&prev_sigs, &next_table, m)
-            .unwrap_or_else(|e| panic!("round {round}: {e}"));
-        let next_grouping = release.grouping(&next_table);
-
-        // Counterfeit-completed groups are m-unique by construction.
-        for g in &release.groups {
-            assert!(g.signature(&next_table).len() >= m, "round {round}");
-        }
-        // Survivor signatures persist against the previous *published*
-        // signatures (counterfeits included).
-        for g in &release.groups {
-            let sig = g.signature(&next_table);
-            for &row in &g.rows {
-                if let Some(old) = prev_sigs.get(&next_table.owner(row)) {
-                    assert_eq!(&sig, old, "round {round}");
-                }
-            }
-        }
-        // The pure-grouping invariance check also holds whenever no
-        // counterfeits exist in either release.
-        if release.counterfeit_count() == 0 {
-            assert!(is_m_invariant(
-                (&prev_table, &prev_grouping),
-                (&next_table, &next_grouping),
-                m
-            ));
-        }
-        prev_table = next_table;
-        prev_grouping = next_grouping;
-        prev_sigs = release.owner_signatures(&prev_table);
-    }
 }
