@@ -33,7 +33,7 @@ use crate::published::{PublishedTable, PublishedTuple};
 use crate::validate::validate_run;
 use acpp_data::{substream_seed, Table, Taxonomy, Value};
 use acpp_generalize::incognito::{self, LatticeOptions};
-use acpp_generalize::mondrian::{self, MondrianConfig};
+use acpp_generalize::mondrian::{self, MondrianConfig, RetainedTree};
 use acpp_generalize::scheme::{check_taxonomies, group_from_box_assignment};
 use acpp_generalize::tds::{self, TdsOptions};
 use acpp_generalize::{GroupId, Grouping, Recoding, Signature};
@@ -490,8 +490,9 @@ pub(crate) fn run_pipeline(
     // with, so the phase/shard report joins them to this phase. ----
     let span = telemetry.span(mondrian::PROF_PHASE);
     note_progress(telemetry, Phase::Generalize, 0, working.len(), false);
-    let (recoding, mut grouping, mut signatures) =
+    let (built, mut grouping, mut signatures) =
         phase2_group(&working, &taxes, config, threads).map_err(AcppError::Generalize)?;
+    let recoding = built.into_recoding();
     if let Some(plan) = plan {
         if plan.is_active(FaultKind::DegenerateGroup) && !working.is_empty() && config.k >= 2 {
             grouping = inject_degenerate_group(&grouping, &mut signatures, working.len());
@@ -640,18 +641,43 @@ struct Sampled {
     faults: Vec<(GroupId, usize, usize)>,
 }
 
-/// The Phase-2 recoding *and grouping* for `table` under
-/// `config.algorithm`. Mondrian recursion is task-parallel over `workers`
-/// threads (byte-identical for every count) and emits each row's leaf box
-/// as a build by-product, so its grouping costs one streaming pass instead
-/// of a per-row tree walk; TDS and full-domain search run sequentially and
-/// group through the generic signature path.
-fn phase2_group(
+/// What [`phase2_group`] builds beside the grouping.
+#[derive(Debug)]
+pub enum Phase2Build {
+    /// Mondrian's partition of a non-empty table, whole, so a release
+    /// series can keep it and repair it.
+    Tree(RetainedTree),
+    /// The recoding of TDS, of full-domain search, or of the empty table.
+    Recoding(Recoding),
+}
+
+impl Phase2Build {
+    /// The recoding, moved out of the tree without a copy.
+    pub fn into_recoding(self) -> Recoding {
+        match self {
+            Phase2Build::Tree(tree) => tree.into_recoding(),
+            Phase2Build::Recoding(recoding) => recoding,
+        }
+    }
+}
+
+/// Phase 2 for `table` under `config.algorithm`: the recoding and the
+/// grouping. The only code that picks the Phase-2 algorithm, for one-shot
+/// releases and a series' full releases alike. Mondrian recursion is
+/// task-parallel over `workers` threads (byte-identical for every count)
+/// and emits each row's leaf box as a build by-product, so its grouping
+/// costs one streaming pass instead of a per-row tree walk; TDS and
+/// full-domain search run sequentially and group through the generic
+/// signature path. Phase 2 draws no randomness.
+///
+/// # Errors
+/// Any error of the chosen algorithm.
+pub fn phase2_group(
     table: &Table,
     taxonomies: &[Taxonomy],
     config: PgConfig,
     workers: usize,
-) -> Result<(Recoding, Grouping, Vec<Signature>), acpp_generalize::GeneralizeError> {
+) -> Result<(Phase2Build, Grouping, Vec<Signature>), acpp_generalize::GeneralizeError> {
     if config.algorithm == Phase2Algorithm::Mondrian && !table.is_empty() {
         let (tree, _) = mondrian::partition(
             table,
@@ -660,7 +686,7 @@ fn phase2_group(
         )?;
         let (grouping, signatures) =
             group_from_box_assignment(tree.assignment(), tree.len(), workers);
-        return Ok((tree.into_recoding(), grouping, signatures));
+        return Ok((Phase2Build::Tree(tree), grouping, signatures));
     }
     let recoding = match config.algorithm {
         // Degenerate: an empty table publishes nothing.
@@ -675,7 +701,7 @@ fn phase2_group(
         }
     };
     let (grouping, signatures) = recoding.group(table, taxonomies);
-    Ok((recoding, grouping, signatures))
+    Ok((Phase2Build::Recoding(recoding), grouping, signatures))
 }
 
 #[cfg(test)]

@@ -45,27 +45,10 @@ pub(crate) fn validate_run(
     config: &PgConfig,
     traced: bool,
 ) -> Result<(), AcppError> {
-    // --- Parameter ranges. The pipeline itself accepts p = 0 (a channel
-    // that always redraws), but no anti-corruption guarantee is certifiable
-    // there, so the entry gate rejects it.
-    let p_ok = config.p > 0.0 || (traced && config.p == 0.0);
-    if !(config.p.is_finite() && p_ok && config.p <= 1.0) {
-        return Err(AcppError::Validation(format!(
-            "retention probability p must lie in (0, 1], got {}",
-            config.p
-        )));
-    }
-    if config.k == 0 {
-        return Err(AcppError::Validation("group size k must be at least 1".into()));
-    }
+    validate_parameters(config, table.schema().sensitive_domain_size(), traced)
+        .map_err(AcppError::Validation)?;
 
     // --- Schema / taxonomy coverage.
-    let us = table.schema().sensitive_domain_size();
-    if us < 2 {
-        return Err(AcppError::Validation(format!(
-            "sensitive domain must carry at least 2 values for perturbation to hide anything, got {us}"
-        )));
-    }
     check_taxonomies(table.schema(), taxonomies)
         .map_err(|e| AcppError::Validation(format!("taxonomy coverage: {e}")))?;
     for (pos, tax) in taxonomies.iter().enumerate() {
@@ -82,6 +65,32 @@ pub(crate) fn validate_run(
             table.len(),
             config.k
         )));
+    }
+    Ok(())
+}
+
+/// The parameter gate of every publication, one-shot or series:
+/// `0 < p ≤ 1`, `k ≥ 1` and a sensitive domain of `us ≥ 2` values.
+/// `traced` admits `p = 0`, for a traced run that never ships a release.
+///
+/// # Errors
+/// The message of the first failed check; the pipeline reports it as
+/// [`AcppError::Validation`].
+pub fn validate_parameters(config: &PgConfig, us: u32, traced: bool) -> Result<(), String> {
+    // The pipeline itself accepts p = 0 (a channel that always redraws),
+    // but no anti-corruption guarantee is certifiable there, so the gate
+    // rejects it.
+    let p_ok = config.p > 0.0 || (traced && config.p == 0.0);
+    if !(config.p.is_finite() && p_ok && config.p <= 1.0) {
+        return Err(format!("retention probability p must lie in (0, 1], got {}", config.p));
+    }
+    if config.k == 0 {
+        return Err("group size k must be at least 1".into());
+    }
+    if us < 2 {
+        return Err(format!(
+            "sensitive domain must carry at least 2 values for perturbation to hide anything, got {us}"
+        ));
     }
     Ok(())
 }
