@@ -58,11 +58,6 @@ pub struct ScalingRun {
 }
 
 impl ScalingRun {
-    /// The speedup at a given worker count, if it was swept.
-    pub fn speedup_at(&self, threads: usize) -> Option<f64> {
-        self.points.iter().find(|p| p.threads == threads).map(|p| p.speedup)
-    }
-
     /// The per-thread sweep as a JSON array — the machine-readable
     /// `scaling` section of `BENCH_parallel.json` (one object per swept
     /// count: `threads`, `seconds`, `rows_per_sec`, `speedup`).
@@ -180,8 +175,7 @@ mod tests {
         let run = run_scaling(&table, &taxes, cfg, 11, &[1, 2]).unwrap();
         assert_eq!(run.points.len(), 2);
         assert!(run.baseline_tuples > 0);
-        assert_eq!(run.speedup_at(1), Some(1.0), "t1 is the baseline");
-        assert!(run.speedup_at(2).is_some());
-        assert!(run.speedup_at(16).is_none());
+        let first = &run.points[0];
+        assert_eq!((first.threads, first.speedup), (1, 1.0), "t1 is the baseline");
     }
 }

@@ -53,18 +53,6 @@ pub fn wilson(successes: u64, trials: u64, z: f64) -> Interval {
     Interval { lo: (center - half).max(0.0), hi: (center + half).min(1.0) }
 }
 
-/// Hoeffding deviation bound for the mean of `n` independent observations
-/// confined to an interval of width `range`: with probability at least
-/// `1 − delta`, the sample mean is within the returned half-width of the
-/// true mean. Used where the audited statistic is a mean of bounded
-/// variables rather than a plain proportion (estimator-bias checks).
-pub fn hoeffding_halfwidth(n: u64, range: f64, delta: f64) -> f64 {
-    if n == 0 {
-        return range.max(1.0);
-    }
-    range * ((2.0 / delta).ln() / (2.0 * n as f64)).sqrt()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -93,13 +81,5 @@ mod tests {
         let small = wilson(30, 100, AUDIT_Z);
         let large = wilson(30_000, 100_000, AUDIT_Z);
         assert!(large.halfwidth() < small.halfwidth() / 5.0);
-    }
-
-    #[test]
-    fn hoeffding_shrinks_like_inverse_sqrt() {
-        let a = hoeffding_halfwidth(100, 1.0, 1e-6);
-        let b = hoeffding_halfwidth(10_000, 1.0, 1e-6);
-        assert!((a / b - 10.0).abs() < 1e-9);
-        assert!(hoeffding_halfwidth(0, 1.0, 1e-6) >= 1.0);
     }
 }

@@ -49,7 +49,7 @@ pub mod report;
 pub mod simulator;
 pub mod synth;
 
-pub use ci::{hoeffding_halfwidth, wilson, Interval, AUDIT_Z};
+pub use ci::{wilson, Interval, AUDIT_Z};
 pub use report::{Check, ConformanceReport, Status};
 pub use simulator::{scenarios, Scenario, Tally};
 

@@ -16,8 +16,8 @@
 //! exact sequential path with no pool at all.
 //!
 //! Telemetry: each worker records an `acpp_obs` span (`par_worker`) with its
-//! chunk count, and the global metrics registry accumulates
-//! `acpp_par_tasks_total` / `acpp_par_steals_total`.
+//! chunk count, and the global metrics registry accumulates the chunks all
+//! workers ran in `acpp_par_tasks_total`.
 
 use acpp_data::substream_seed;
 use acpp_obs::prof::{alloc_count, profiler, ShardSample};
@@ -190,9 +190,7 @@ where
                     }
                 }
                 span.field("chunks", local.len() as u64);
-                let steals = local.len() as u64;
-                acpp_obs::metrics().counter_add("acpp_par_tasks_total", steals);
-                acpp_obs::metrics().counter_add("acpp_par_steals_total", steals);
+                acpp_obs::metrics().counter_add("acpp_par_tasks_total", local.len() as u64);
                 locked(results).extend(local);
                 span.end();
             });

@@ -17,14 +17,6 @@ pub fn k_from_sampling_rate(s: f64) -> Result<usize, CoreError> {
     Ok((1.0 / s).ceil() as usize)
 }
 
-/// The largest sampling rate a given `k` supports: `s = 1/k`.
-pub fn sampling_rate_from_k(k: usize) -> Result<f64, CoreError> {
-    if k == 0 {
-        return Err(CoreError::InvalidParameter("k must be at least 1".into()));
-    }
-    Ok(1.0 / k as f64)
-}
-
 /// Checks the published cardinality against the constraint
 /// `|D*| ≤ |D| · s`.
 pub fn cardinality_satisfied(microdata_rows: usize, published_rows: usize, s: f64) -> bool {
@@ -51,13 +43,12 @@ mod tests {
         assert!(k_from_sampling_rate(0.0).is_err());
         assert!(k_from_sampling_rate(-0.5).is_err());
         assert!(k_from_sampling_rate(1.5).is_err());
-        assert!(sampling_rate_from_k(0).is_err());
     }
 
     #[test]
     fn k_and_rate_are_inverse_on_integers() {
         for k in 1..=20usize {
-            let s = sampling_rate_from_k(k).unwrap();
+            let s = 1.0 / k as f64;
             assert_eq!(k_from_sampling_rate(s).unwrap(), k);
         }
     }

@@ -74,21 +74,6 @@ pub fn write_table<W: Write>(table: &Table, w: &mut W, with_owners: bool) -> Res
     Ok(())
 }
 
-/// Writes a table as CSV to `path` with full durability: rendered in
-/// memory, staged to a fsynced temporary, atomically renamed into place.
-/// After a crash, `path` holds either the previous content or the complete
-/// new table — never a partial release.
-pub fn write_table_durable(
-    table: &Table,
-    path: &std::path::Path,
-    with_owners: bool,
-    policy: &crate::atomic::RetryPolicy,
-) -> Result<(), DataError> {
-    let mut buf = Vec::new();
-    write_table(table, &mut buf, with_owners)?;
-    crate::atomic::write_atomic(path, &buf, policy)
-}
-
 /// Renders a table to a CSV string.
 pub fn to_string(table: &Table, with_owners: bool) -> Result<String, DataError> {
     let mut buf = Vec::new();

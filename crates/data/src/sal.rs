@@ -270,13 +270,6 @@ impl Default for SalConfig {
     }
 }
 
-impl SalConfig {
-    /// A config with the given row count and the default seed.
-    pub fn with_rows(rows: usize) -> Self {
-        SalConfig { rows, ..Default::default() }
-    }
-}
-
 fn sample_weighted(rng: &mut StdRng, weights: &[f64]) -> usize {
     let total: f64 = weights.iter().sum();
     debug_assert!(total > 0.0);

@@ -363,17 +363,6 @@ impl Taxonomy {
         cur
     }
 
-    /// All node ids on the path from a leaf code to the root (leaf first).
-    pub fn root_path(&self, code: u32) -> Vec<NodeId> {
-        let mut cur = self.leaf(code);
-        let mut path = vec![cur];
-        while let Some(p) = self.node(cur).parent {
-            cur = p;
-            path.push(p);
-        }
-        path
-    }
-
     /// Validates tree invariants: contiguous leaf coverage, consistent
     /// parent/child links, ranges nested properly.
     pub fn check(&self) -> Result<(), DataError> {
@@ -494,11 +483,6 @@ impl Cut {
         false
     }
 
-    /// True if the cut is the single root node.
-    pub fn is_coarsest(&self, tax: &Taxonomy) -> bool {
-        self.nodes.len() == 1 && self.nodes[0] == tax.root()
-    }
-
     /// True if every cut node is a leaf.
     pub fn is_finest(&self, tax: &Taxonomy) -> bool {
         self.nodes.iter().all(|&id| tax.node(id).is_leaf())
@@ -568,9 +552,10 @@ mod tests {
         t.check().unwrap();
         assert_eq!(t.height(), 3);
         // Leaf 5 → [4,5] → [4,7] → [0,7]
-        let path = t.root_path(5);
-        let ranges: Vec<(u32, u32)> =
-            path.iter().map(|&id| (t.node(id).lo, t.node(id).hi)).collect();
+        let ranges: Vec<(u32, u32)> = (0..=t.height())
+            .map(|up| t.ancestor(t.leaf(5), up))
+            .map(|id| (t.node(id).lo, t.node(id).hi))
+            .collect();
         assert_eq!(ranges, vec![(5, 5), (4, 5), (4, 7), (0, 7)]);
         assert_eq!(t.node(t.ancestor_at_depth(5, 1)).label, "[4,7]");
     }
@@ -613,7 +598,6 @@ mod tests {
     fn cut_construction_and_generalize() {
         let t = Taxonomy::intervals(8, 2);
         let coarse = Cut::coarsest(&t);
-        assert!(coarse.is_coarsest(&t));
         assert_eq!(coarse.generalize(&t, 6), t.root());
 
         let fine = Cut::finest(&t);

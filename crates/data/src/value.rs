@@ -130,11 +130,6 @@ impl Domain {
         &self.labels[v.index()]
     }
 
-    /// Label of a code, if in range.
-    pub fn get_label(&self, v: Value) -> Option<&str> {
-        self.labels.get(v.index()).map(String::as_str)
-    }
-
     /// Resolves a textual label to its code.
     pub fn code_of(&self, label: &str) -> Option<Value> {
         self.labels

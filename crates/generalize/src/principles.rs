@@ -18,25 +18,6 @@ pub fn is_k_anonymous(grouping: &Grouping, k: usize) -> bool {
     grouping.min_size().is_none_or(|m| m >= k)
 }
 
-/// True if every non-empty QI-group contains at least `l` *distinct*
-/// sensitive values (the simplest `l`-diversity instantiation, illustrated
-/// by Table Ic of the paper).
-pub fn is_distinct_l_diverse(table: &Table, grouping: &Grouping, l: usize) -> bool {
-    grouping
-        .iter_nonempty()
-        .all(|(g, _)| grouping.sensitive_histogram(table, g).distinct() as usize >= l)
-}
-
-/// True if every non-empty QI-group has sensitive-value entropy at least
-/// `ln(l)` (entropy `l`-diversity).
-pub fn is_entropy_l_diverse(table: &Table, grouping: &Grouping, l: f64) -> bool {
-    assert!(l >= 1.0, "entropy l-diversity requires l >= 1");
-    let threshold = l.ln();
-    grouping
-        .iter_nonempty()
-        .all(|(g, _)| grouping.sensitive_histogram(table, g).entropy() >= threshold - 1e-12)
-}
-
 /// True if every non-empty QI-group satisfies recursive `(c, l)`-diversity
 /// (Inequality 1 of the paper): with per-group sensitive counts
 /// `n_1 ≥ n_2 ≥ … ≥ n_{l'}`,
@@ -58,15 +39,6 @@ pub fn is_cl_diverse(table: &Table, grouping: &Grouping, c: f64, l: usize) -> bo
         let tail: u64 = counts[l - 1..].iter().sum();
         counts[0] as f64 <= c * tail as f64
     })
-}
-
-/// The smallest number of distinct sensitive values in any non-empty
-/// QI-group — the `u` of the paper's Lemma 1. `None` for an empty grouping.
-pub fn min_distinct_sensitive(table: &Table, grouping: &Grouping) -> Option<u32> {
-    grouping
-        .iter_nonempty()
-        .map(|(g, _)| grouping.sensitive_histogram(table, g).distinct())
-        .min()
 }
 
 /// Earth-mover's distance between two pdfs over an *ordered* domain with
@@ -91,38 +63,6 @@ pub fn emd_ordered(p: &[f64], q: &[f64]) -> f64 {
 pub fn emd_nominal(p: &[f64], q: &[f64]) -> f64 {
     assert_eq!(p.len(), q.len(), "distribution length mismatch");
     0.5 * p.iter().zip(q).map(|(a, b)| (a - b).abs()).sum::<f64>()
-}
-
-/// The worst (largest) EMD between any non-empty QI-group's sensitive
-/// distribution and the whole table's — the quantity `t-closeness` bounds
-/// (Li, Li, Venkatasubramanian, ICDE 2007, reference [14] of the paper).
-/// Uses the ordered metric when `ordered` is true, else the nominal one.
-/// `None` for an empty grouping.
-pub fn max_emd(table: &Table, grouping: &Grouping, ordered: bool) -> Option<f64> {
-    let n = table.schema().sensitive_domain_size();
-    let mut global = acpp_data::stats::Histogram::new(n);
-    for row in table.rows() {
-        global.add(table.sensitive_value(row));
-    }
-    let gp = global.probabilities();
-    grouping
-        .iter_nonempty()
-        .map(|(g, _)| {
-            let lp = grouping.sensitive_histogram(table, g).probabilities();
-            if ordered {
-                emd_ordered(&lp, &gp)
-            } else {
-                emd_nominal(&lp, &gp)
-            }
-        })
-        .fold(None, |acc, d| Some(acc.map_or(d, |a: f64| a.max(d))))
-}
-
-/// True if every non-empty QI-group's sensitive distribution is within EMD
-/// `t` of the table-wide distribution (t-closeness).
-pub fn is_t_close(table: &Table, grouping: &Grouping, t: f64, ordered: bool) -> bool {
-    assert!(t >= 0.0, "t must be nonnegative");
-    max_emd(table, grouping, ordered).is_none_or(|d| d <= t + 1e-12)
 }
 
 #[cfg(test)]
@@ -161,27 +101,6 @@ mod tests {
         assert!(!is_k_anonymous(&g, 3));
         let empty = Grouping::from_assignment(vec![], 0);
         assert!(is_k_anonymous(&empty, 100));
-    }
-
-    #[test]
-    fn distinct_l_diversity() {
-        let (t, g) = build(&[&[0, 1, 1], &[2, 3, 4]], 5);
-        assert!(is_distinct_l_diverse(&t, &g, 2));
-        assert!(!is_distinct_l_diverse(&t, &g, 3), "first group has only 2 distinct");
-        let (t, g) = build(&[&[0, 0, 0]], 5);
-        assert!(!is_distinct_l_diverse(&t, &g, 2));
-    }
-
-    #[test]
-    fn entropy_l_diversity() {
-        // Uniform over 4 values: entropy ln(4) ⇒ entropy 4-diverse.
-        let (t, g) = build(&[&[0, 1, 2, 3]], 4);
-        assert!(is_entropy_l_diverse(&t, &g, 4.0));
-        assert!(!is_entropy_l_diverse(&t, &g, 4.01));
-        // Skewed group has lower entropy.
-        let (t, g) = build(&[&[0, 0, 0, 1]], 4);
-        assert!(is_entropy_l_diverse(&t, &g, 1.5));
-        assert!(!is_entropy_l_diverse(&t, &g, 2.0));
     }
 
     #[test]
@@ -224,32 +143,5 @@ mod tests {
     fn emd_nominal_is_total_variation() {
         assert_eq!(emd_nominal(&[1.0, 0.0], &[0.0, 1.0]), 1.0);
         assert!((emd_nominal(&[0.5, 0.25, 0.25], &[0.25, 0.5, 0.25]) - 0.25).abs() < 1e-12);
-    }
-
-    #[test]
-    fn t_closeness_detects_skewed_groups() {
-        // Global distribution: half 0s, half 1s. Group 0 is all-0s (EMD
-        // 0.5 ordered over 2 values), group 1 all-1s.
-        let (t, g) = build(&[&[0, 0, 0], &[1, 1, 1]], 2);
-        let d = max_emd(&t, &g, true).unwrap();
-        assert!((d - 0.5).abs() < 1e-12, "max EMD {d}");
-        assert!(is_t_close(&t, &g, 0.5, true));
-        assert!(!is_t_close(&t, &g, 0.49, true));
-        // Perfectly mixed groups are 0-close.
-        let (t, g) = build(&[&[0, 1], &[1, 0]], 2);
-        assert!(is_t_close(&t, &g, 0.0, true));
-        // Empty grouping is vacuously t-close.
-        let empty = Grouping::from_assignment(vec![], 0);
-        let (t2, _) = build(&[&[0]], 2);
-        assert!(is_t_close(&t2, &empty, 0.0, false));
-    }
-
-    #[test]
-    fn min_distinct_sensitive_is_lemma1_u() {
-        let (t, g) = build(&[&[0, 1, 2], &[3, 3, 4]], 5);
-        assert_eq!(min_distinct_sensitive(&t, &g), Some(2));
-        let empty = Grouping::from_assignment(vec![], 0);
-        let (t2, _) = build(&[&[0]], 5);
-        assert_eq!(min_distinct_sensitive(&t2, &empty), None);
     }
 }

@@ -166,11 +166,6 @@ impl MiningSet {
         lo + (hi - lo) / 2
     }
 
-    /// Total row weight.
-    pub fn total_weight(&self) -> f64 {
-        self.weights.iter().sum()
-    }
-
     /// Weighted class counts over a subset of rows.
     pub fn class_weights(&self, rows: &[usize]) -> Vec<f64> {
         let mut counts = vec![0.0; self.n_classes as usize];
@@ -232,7 +227,6 @@ mod tests {
         assert_eq!(set.midpoint(5, 0), 5);
         assert_eq!(set.label(5), 1); // S = 5 >= 3
         assert_eq!(set.weight(5), 1.0);
-        assert_eq!(set.total_weight(), 32.0);
         let cw = set.class_weights(&(0..32).collect::<Vec<_>>());
         // S cycles 0..6 over 32 rows: classes {0,1,2} vs {3,4,5}.
         assert_eq!(cw[0] + cw[1], 32.0);
@@ -251,7 +245,7 @@ mod tests {
         let set = MiningSet::from_published(&dstar, &taxes, 2, |v| u32::from(v.code() >= 3));
         assert_eq!(set.len(), dstar.len());
         // Weights equal the group sizes; their sum is the microdata size.
-        assert_eq!(set.total_weight(), 32.0);
+        assert_eq!((0..set.len()).map(|i| set.weight(i)).sum::<f64>(), 32.0);
         for (i, tuple) in dstar.tuples().iter().enumerate() {
             assert_eq!(set.weight(i), tuple.group_size as f64);
             let (lo, hi) = set.interval(i, 0);

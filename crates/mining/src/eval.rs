@@ -35,22 +35,6 @@ pub fn classification_error(tree: &DecisionTree, eval: &MiningSet) -> f64 {
     wrong / total
 }
 
-/// Weighted confusion matrix `[true class][predicted class]`.
-pub fn confusion_matrix(tree: &DecisionTree, eval: &MiningSet) -> Vec<Vec<f64>> {
-    let c = eval.n_classes() as usize;
-    let mut m = vec![vec![0.0; c]; c];
-    let n_features = eval.features().len();
-    let mut point = vec![0u32; n_features];
-    for row in 0..eval.len() {
-        for (f, p) in point.iter_mut().enumerate() {
-            *p = eval.midpoint(row, f);
-        }
-        let pred = tree.predict(&point) as usize;
-        m[eval.label(row) as usize][pred] += eval.weight(row);
-    }
-    m
-}
-
 /// The error of always predicting the majority class of `eval` — the floor
 /// any learner must beat to be useful.
 pub fn majority_error(eval: &MiningSet) -> f64 {
@@ -83,11 +67,6 @@ mod tests {
         let set = linearly_separable();
         let tree = DecisionTree::train(&set, &TreeConfig { min_rows: 1, ..Default::default() });
         assert_eq!(classification_error(&tree, &set), 0.0);
-        let m = confusion_matrix(&tree, &set);
-        assert_eq!(m[0][0], 5.0);
-        assert_eq!(m[1][1], 5.0);
-        assert_eq!(m[0][1], 0.0);
-        assert_eq!(m[1][0], 0.0);
     }
 
     #[test]

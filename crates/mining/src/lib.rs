@@ -22,7 +22,7 @@
 //!   [`acpp_core::PublishedTable`];
 //! * [`tree`] — weighted binary decision-tree induction (gini or entropy)
 //!   with optional channel-corrected leaf distributions;
-//! * [`eval`] — classification error and confusion matrices;
+//! * [`eval`] — classification error and the majority-class floor;
 //! * [`forest`] — a small bagged ensemble (extension);
 //! * [`cv`] — k-fold cross-validation (extension);
 //! * [`queries`] — aggregate COUNT-query estimation over `D*` with channel
@@ -42,5 +42,5 @@ pub mod tree;
 
 pub use dataset::{category_channel, FeatureSpec, MiningSet};
 pub use error::MiningError;
-pub use eval::{classification_error, confusion_matrix};
+pub use eval::classification_error;
 pub use tree::{DecisionTree, SplitCriterion, TreeConfig};

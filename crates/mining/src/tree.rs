@@ -300,11 +300,6 @@ impl DecisionTree {
         self.nodes.len()
     }
 
-    /// Number of leaves.
-    pub fn leaf_count(&self) -> usize {
-        self.nodes.iter().filter(|n| matches!(n, Node::Leaf { .. })).count()
-    }
-
     /// Maximum depth of the trained tree.
     pub fn depth(&self) -> u32 {
         fn depth_of(nodes: &[Node], idx: usize) -> u32 {
@@ -532,7 +527,6 @@ mod tests {
             }
         }
         assert!(tree.depth() >= 2);
-        assert!(tree.leaf_count() >= 3);
     }
 
     #[test]

@@ -100,11 +100,6 @@ impl TraceBuffer {
         self.wake.notify_all();
     }
 
-    /// Whether [`close`](TraceBuffer::close) has been called.
-    pub fn is_closed(&self) -> bool {
-        self.locked().closed
-    }
-
     /// Total records evicted before any reader saw them.
     pub fn dropped(&self) -> u64 {
         self.locked().dropped
@@ -205,7 +200,6 @@ mod tests {
         let chunk = reader.join().expect("reader thread");
         assert!(chunk.closed);
         assert!(chunk.records.is_empty());
-        assert!(buf.is_closed());
     }
 
     #[test]

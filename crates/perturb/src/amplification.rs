@@ -59,41 +59,6 @@ pub fn gamma_of_channel(channel: &Channel) -> f64 {
     worst
 }
 
-/// True when the amplification condition guarantees the absence of upward
-/// `ρ1-to-ρ2` breaches: `ρ2(1−ρ1)/(ρ1(1−ρ2)) ≥ γ`.
-///
-/// Boundary conventions: `ρ1 = 0` is always safe (a prior of zero cannot be
-/// amplified above zero by a γ-amplifying channel with finite γ), and
-/// `ρ2 = 1` is always safe (the guarantee is vacuous).
-///
-/// # Panics
-/// Panics unless `0 ≤ ρ1 < ρ2 ≤ 1`.
-pub fn rho1_to_rho2_safe(rho1: f64, rho2: f64, gamma: f64) -> bool {
-    assert!(
-        (0.0..1.0).contains(&rho1) && rho1 < rho2 && rho2 <= 1.0,
-        "require 0 <= rho1 < rho2 <= 1, got rho1={rho1}, rho2={rho2}"
-    );
-    if rho1 == 0.0 || rho2 == 1.0 {
-        return true;
-    }
-    rho2 * (1.0 - rho1) / (rho1 * (1.0 - rho2)) >= gamma
-}
-
-/// The largest retention probability whose uniform channel is
-/// `γ`-amplifying over a domain of size `n`: inverting [`gamma`],
-/// `p = (γ − 1) / (γ − 1 + n)`.
-///
-/// # Panics
-/// Panics if `γ < 1` or `n == 0`.
-pub fn retention_for_gamma(gamma: f64, n: u32) -> f64 {
-    assert!(gamma >= 1.0, "gamma must be at least 1, got {gamma}");
-    assert!(n > 0, "empty domain");
-    if gamma.is_infinite() {
-        return 1.0;
-    }
-    (gamma - 1.0) / (gamma - 1.0 + n as f64)
-}
-
 /// The smallest `ρ2` that the amplification condition can certify for a
 /// given `ρ1` and `γ`: the solution of `ρ2(1−ρ1)/(ρ1(1−ρ2)) = γ`, i.e.
 /// `ρ2 = γ·ρ1 / (1 − ρ1 + γ·ρ1)`. Returns 1.0 when `γ` is infinite is not
@@ -141,56 +106,20 @@ mod tests {
     }
 
     #[test]
-    fn safety_condition_monotone() {
-        let g = gamma(0.3, 50);
-        // Larger rho2 is easier to certify.
-        assert!(!rho1_to_rho2_safe(0.2, 0.5, g));
-        assert!(rho1_to_rho2_safe(0.2, 0.9, g));
-        // The threshold returned by max_safe_rho2 is exactly certifiable.
-        let r2 = max_safe_rho2(0.2, g);
-        assert!(rho1_to_rho2_safe(0.2, r2 + 1e-12, g));
-        assert!(!rho1_to_rho2_safe(0.2, r2 - 1e-9, g));
-    }
-
-    #[test]
     fn max_safe_rho2_reference_value() {
         // p=0.3, n=50, ρ1=0.2: ρ2' = 22.4286·0.2/(0.8+22.4286·0.2) ≈ 0.8487
         // (this is the ρ2' inside the paper's Theorem 2 for Table IIIa).
-        let r2 = max_safe_rho2(0.2, gamma(0.3, 50));
+        let g = gamma(0.3, 50);
+        let r2 = max_safe_rho2(0.2, g);
         assert!((r2 - 0.848_648).abs() < 1e-4, "got {r2}");
-    }
-
-    #[test]
-    fn retention_for_gamma_inverts_gamma() {
-        for &p in &[0.0, 0.15, 0.3, 0.45, 0.99] {
-            for n in [2u32, 50, 1000] {
-                let g = gamma(p, n);
-                let back = retention_for_gamma(g, n);
-                assert!((back - p).abs() < 1e-12, "p={p}, n={n}: got {back}");
-            }
-        }
-        assert_eq!(retention_for_gamma(1.0, 50), 0.0);
-        assert_eq!(retention_for_gamma(f64::INFINITY, 50), 1.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "gamma must be at least 1")]
-    fn retention_for_gamma_rejects_small_gamma() {
-        let _ = retention_for_gamma(0.5, 50);
+        // It solves the amplification condition with equality.
+        assert!((r2 * 0.8 / (0.2 * (1.0 - r2)) - g).abs() < 1e-9);
     }
 
     #[test]
     fn boundary_conventions() {
         let g = gamma(0.3, 50);
-        assert!(rho1_to_rho2_safe(0.0, 0.5, g));
-        assert!(rho1_to_rho2_safe(0.2, 1.0, g));
         assert_eq!(max_safe_rho2(0.0, g), 0.0);
         assert_eq!(max_safe_rho2(0.2, f64::INFINITY), 1.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "require 0 <= rho1 < rho2")]
-    fn rejects_inverted_rhos() {
-        let _ = rho1_to_rho2_safe(0.5, 0.2, 10.0);
     }
 }

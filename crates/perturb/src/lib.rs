@@ -29,7 +29,7 @@ pub mod error;
 pub mod reconstruct;
 pub mod retention;
 
-pub use amplification::{gamma, max_safe_rho2, retention_for_gamma, rho1_to_rho2_safe};
+pub use amplification::{gamma, max_safe_rho2};
 pub use channel::Channel;
 pub use error::PerturbError;
 pub use reconstruct::{invert_uniform, iterative_bayes};

@@ -1,15 +1,15 @@
 //! Keyed (counter-based) sampling for deterministic parallel execution.
 //!
-//! Sequential Phase 3 walks the strata in order, advancing one RNG stream —
-//! so the draw for stratum `g` depends on how many strata precede it, and
-//! parallel workers processing strata out of order would change the output.
-//! The keyed variants break that chain: each stratum's draw comes from its
-//! own substream, seeded as `substream_seed(master, domain, index)` from one
-//! master value drawn up front. The result depends only on `(master, index,
-//! stratum)` — never on arrival order or thread count — which is what lets
-//! the parallel engine shard Phase 3 while staying byte-identical.
+//! A sequential Phase 3 would walk the strata in order, advancing one RNG
+//! stream — so the draw for stratum `g` would depend on how many strata
+//! precede it, and parallel workers processing strata out of order would
+//! change the output. A keyed draw breaks that chain: each stratum's draw
+//! comes from its own substream, seeded as `substream_seed(master, domain,
+//! index)` from one master value drawn up front. The result depends only
+//! on `(master, index, stratum size)` — never on arrival order or thread
+//! count — which is what lets the parallel engine shard Phase 3 while
+//! staying byte-identical.
 
-use crate::stratified::StratumDraw;
 use acpp_data::substream_seed;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -30,32 +30,9 @@ pub fn keyed_pick(master: u64, domain: &str, index: u64, n: usize) -> Option<usi
     Some(rng.gen_range(0..n))
 }
 
-/// Keyed form of [`crate::sample_one_per_stratum`]: one uniform draw per
-/// non-empty stratum, each from the substream keyed by the stratum's index
-/// in the input slice. Empty strata are skipped.
-///
-/// Output is identical however the strata are traversed — callers may split
-/// the slice across workers and concatenate chunk results in index order.
-pub fn sample_one_per_stratum_keyed(master: u64, strata: &[Vec<usize>]) -> Vec<StratumDraw> {
-    strata
-        .iter()
-        .enumerate()
-        .filter(|(_, members)| !members.is_empty())
-        .map(|(stratum, members)| {
-            let pick = keyed_pick(master, SAMPLE_DOMAIN, stratum as u64, members.len())
-                .unwrap_or(0);
-            StratumDraw { stratum, item: members[pick], stratum_size: members.len() }
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn strata() -> Vec<Vec<usize>> {
-        vec![vec![0, 1, 2], vec![], vec![3], vec![4, 5, 6, 7], vec![8, 9]]
-    }
 
     #[test]
     fn keyed_pick_is_reproducible_and_in_range() {
@@ -71,47 +48,20 @@ mod tests {
     }
 
     #[test]
-    fn draws_are_independent_of_traversal_order() {
-        let s = strata();
-        let all = sample_one_per_stratum_keyed(7, &s);
-        // Recompute each stratum's draw in reverse order, one at a time:
-        // every per-stratum result must match the full-slice traversal.
-        for d in all.iter().rev() {
-            let members = &s[d.stratum];
-            let pick =
-                keyed_pick(7, SAMPLE_DOMAIN, d.stratum as u64, members.len()).unwrap();
-            assert_eq!(members[pick], d.item);
-            assert_eq!(members.len(), d.stratum_size);
-        }
-    }
-
-    #[test]
-    fn skips_empty_strata_like_sequential_sampler() {
-        let s = strata();
-        let draws = sample_one_per_stratum_keyed(3, &s);
-        assert_eq!(draws.len(), 4);
-        assert!(draws.iter().all(|d| d.stratum != 1));
-        assert_eq!(draws[1], StratumDraw { stratum: 2, item: 3, stratum_size: 1 });
-    }
-
-    #[test]
     fn different_masters_give_different_draw_vectors() {
         // Not a tautology (collisions are possible per stratum), but across
         // a 1000-member stratum two masters agreeing is vanishingly rare.
-        let big: Vec<Vec<usize>> = vec![(0..1000).collect()];
-        let a = sample_one_per_stratum_keyed(1, &big);
-        let b = sample_one_per_stratum_keyed(2, &big);
-        assert_ne!(a[0].item, b[0].item);
+        let a = keyed_pick(1, SAMPLE_DOMAIN, 0, 1000);
+        let b = keyed_pick(2, SAMPLE_DOMAIN, 0, 1000);
+        assert_ne!(a, b);
     }
 
     #[test]
     fn keyed_draws_are_roughly_uniform() {
-        let s: Vec<Vec<usize>> = vec![(0..4).collect()];
         let mut counts = [0u32; 4];
         let trials = 40_000u64;
         for master in 0..trials {
-            let d = sample_one_per_stratum_keyed(master, &s);
-            counts[d[0].item] += 1;
+            counts[keyed_pick(master, SAMPLE_DOMAIN, 0, 4).unwrap()] += 1;
         }
         for &c in &counts {
             let f = c as f64 / trials as f64;

@@ -5,28 +5,21 @@
 //! (stratum), annotated with the stratum size. This crate provides the
 //! index-level sampling primitives:
 //!
-//! * [`stratified`] — one-per-stratum and r-per-stratum sampling;
+//! * [`keyed`] — counter-based keyed draws whose results are independent of
+//!   traversal order, the primitive behind deterministic parallel Phase 3;
 //! * [`srs`] — simple random sampling without replacement (used by the
 //!   `optimistic`/`pessimistic` baselines of the paper's evaluation and by
-//!   the "trivial solution" the paper rejects in Section III-B);
-//! * [`reservoir`] — single-pass reservoir sampling for streams;
-//! * [`keyed`] — counter-based keyed draws whose results are independent of
-//!   traversal order, the primitive behind deterministic parallel Phase 3.
+//!   the "trivial solution" the paper rejects in Section III-B).
 //!
-//! All functions are generic over [`rand::Rng`] and deterministic under a
-//! seeded generator.
+//! Both are deterministic under a fixed seed.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
 pub mod error;
 pub mod keyed;
-pub mod reservoir;
 pub mod srs;
-pub mod stratified;
 
 pub use error::SampleError;
-pub use keyed::{keyed_pick, sample_one_per_stratum_keyed, SAMPLE_DOMAIN};
-pub use reservoir::reservoir_sample;
-pub use srs::{sample_without_replacement, subsample_rate, try_subsample_rate};
-pub use stratified::{sample_one_per_stratum, sample_r_per_stratum, StratumDraw};
+pub use keyed::{keyed_pick, SAMPLE_DOMAIN};
+pub use srs::sample_without_replacement;

@@ -1,6 +1,5 @@
 //! Simple random sampling without replacement.
 
-use crate::error::SampleError;
 use rand::Rng;
 
 /// Draws `min(k, n)` distinct indices uniformly from `0..n` via a partial
@@ -15,30 +14,6 @@ pub fn sample_without_replacement<R: Rng + ?Sized>(rng: &mut R, n: usize, k: usi
     }
     pool.truncate(take);
     pool
-}
-
-/// Draws a simple random sample of expected size `rate·n` — the exact size
-/// `⌊rate·n⌋` is used, matching the paper's `|D|/k` baseline subsets.
-///
-/// # Panics
-/// Panics if `rate ∉ [0, 1]`. Use [`try_subsample_rate`] when the rate
-/// comes from outside the program.
-pub fn subsample_rate<R: Rng + ?Sized>(rng: &mut R, n: usize, rate: f64) -> Vec<usize> {
-    assert!((0.0..=1.0).contains(&rate), "sampling rate must be in [0,1], got {rate}");
-    let k = (rate * n as f64).floor() as usize;
-    sample_without_replacement(rng, n, k)
-}
-
-/// Fallible form of [`subsample_rate`] for untrusted inputs.
-pub fn try_subsample_rate<R: Rng + ?Sized>(
-    rng: &mut R,
-    n: usize,
-    rate: f64,
-) -> Result<Vec<usize>, SampleError> {
-    if !(0.0..=1.0).contains(&rate) {
-        return Err(SampleError::InvalidRate(rate));
-    }
-    Ok(subsample_rate(rng, n, rate))
 }
 
 #[cfg(test)]
@@ -82,35 +57,5 @@ mod tests {
             let f = h as f64 / trials as f64;
             assert!((f - 0.3).abs() < 0.02, "inclusion frequency {f}");
         }
-    }
-
-    #[test]
-    fn rate_sampling_matches_floor() {
-        let mut rng = StdRng::seed_from_u64(4);
-        assert_eq!(subsample_rate(&mut rng, 1000, 0.25).len(), 250);
-        assert_eq!(subsample_rate(&mut rng, 7, 0.5).len(), 3);
-        assert!(subsample_rate(&mut rng, 7, 0.0).is_empty());
-        assert_eq!(subsample_rate(&mut rng, 7, 1.0).len(), 7);
-    }
-
-    #[test]
-    #[should_panic(expected = "sampling rate")]
-    fn rejects_bad_rate() {
-        let mut rng = StdRng::seed_from_u64(5);
-        let _ = subsample_rate(&mut rng, 10, 1.5);
-    }
-
-    #[test]
-    fn try_rate_returns_typed_error() {
-        let mut rng = StdRng::seed_from_u64(6);
-        assert_eq!(
-            try_subsample_rate(&mut rng, 10, 1.5).unwrap_err(),
-            SampleError::InvalidRate(1.5)
-        );
-        assert!(matches!(
-            try_subsample_rate(&mut rng, 10, f64::NAN).unwrap_err(),
-            SampleError::InvalidRate(_)
-        ));
-        assert_eq!(try_subsample_rate(&mut rng, 10, 0.5).unwrap().len(), 5);
     }
 }

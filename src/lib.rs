@@ -11,10 +11,10 @@
 //! * [`data`] — microdata tables, schemas, taxonomies, the synthetic SAL
 //!   census generator;
 //! * [`generalize`] — global-recoding generalization algorithms and
-//!   anonymity principles (k-anonymity, (c,l)-diversity, …);
+//!   anonymity principles (k-anonymity, (c,l)-diversity);
 //! * [`perturb`] — randomized-response perturbation and distribution
 //!   reconstruction;
-//! * [`sample`] — stratified and simple random sampling;
+//! * [`sample`] — keyed per-group draws and simple random sampling;
 //! * [`core`] — the PG pipeline and its privacy-guarantee calculus
 //!   (Theorems 1–3 of the paper);
 //! * [`obs`] — privacy-safe telemetry: hierarchical spans, a metrics
